@@ -39,11 +39,11 @@ void CodeBitPlanes::covered_by(const Cube& cube, std::uint64_t* out) const {
       std::fill(out, out + words_, 0);
       return;
     }
-    const std::uint64_t* plane = planes_.data() + static_cast<std::size_t>(v) * words_;
+    const std::uint64_t* bits = plane(v);
     if (admits1)
-      for (std::size_t w = 0; w < words_; ++w) out[w] &= plane[w];
+      for (std::size_t w = 0; w < words_; ++w) out[w] &= bits[w];
     else
-      for (std::size_t w = 0; w < words_; ++w) out[w] &= ~plane[w];
+      for (std::size_t w = 0; w < words_; ++w) out[w] &= ~bits[w];
   }
 }
 

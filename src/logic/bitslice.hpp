@@ -31,6 +31,11 @@ class CodeBitPlanes {
   /// Word w of the all-codes set (tail bits beyond num_codes are 0).
   std::uint64_t full_word(std::size_t w) const { return full_[w]; }
 
+  /// The num_words() words of variable v's plane (bit i = bit v of codes[i]).
+  const std::uint64_t* plane(int v) const {
+    return planes_.data() + static_cast<std::size_t>(v) * words_;
+  }
+
   /// Write the coverage set of `cube`'s input part into `out` (num_words()
   /// words): bit i set iff cube covers codes[i].  A cube with an empty
   /// literal (admits neither value) covers nothing.

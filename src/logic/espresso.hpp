@@ -10,8 +10,9 @@
 // yields AND-gate sharing across set/reset functions of different signals).
 //
 // The on-set and off-set are explicit minterm lists (reachable states of
-// the state graph); everything else is an implicit don't care, so validity
-// of a cube is checked by scanning the off-list of each output it feeds.
+// the state graph); everything else is an implicit don't care.  EXPAND
+// checks validity on bit planes over the off-codes (logic/bitslice), so
+// one pass over a cube's literals decides every candidate raise at once.
 #pragma once
 
 #include "logic/cover.hpp"
@@ -44,6 +45,11 @@ CoverCost cost_of(const Cover& cover);
 /// Minimize `spec` heuristically.  The returned cover satisfies
 /// F ⊆ cover and cover ∩ R = ∅ for every output (see verify.hpp).
 Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options = {});
+
+/// The starting cover: with sharing, one minterm cube per distinct
+/// on-minterm feeding every output it is on for; without, one per
+/// (minterm, output) pair.
+Cover espresso_initial_cover(const TwoLevelSpec& spec, bool share_outputs);
 
 /// EXPAND step: enlarge each cube to a prime-like maximal valid cube,
 /// dropping cubes that become contained in an expanded one.

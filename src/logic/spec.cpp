@@ -55,10 +55,4 @@ bool TwoLevelSpec::cube_valid_for_output(const Cube& cube, int o) const {
   return true;
 }
 
-bool TwoLevelSpec::cube_is_valid(const Cube& cube) const {
-  for (int o = 0; o < num_outputs_; ++o)
-    if (cube.has_output(o) && !cube_valid_for_output(cube, o)) return false;
-  return true;
-}
-
 }  // namespace nshot::logic

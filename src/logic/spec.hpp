@@ -41,10 +41,6 @@ class TwoLevelSpec {
   /// Sorts and deduplicates the minterm lists (call once after filling).
   void normalize();
 
-  /// True if the input part of `cube` hits no off-minterm of any output the
-  /// cube feeds — i.e. the cube is an implicant of F ∪ D for those outputs.
-  bool cube_is_valid(const Cube& cube) const;
-
   /// True if raising `cube` to feed output `o` would keep it valid.
   bool cube_valid_for_output(const Cube& cube, int o) const;
 

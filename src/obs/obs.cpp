@@ -44,6 +44,9 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"serve_admitted", false},
     {"serve_rejected", false},
     {"serve_completed", false},
+    {"expand_raise_steps", true},
+    {"expand_validity_checks", true},
+    {"expand_off_words_scanned", true},
 };
 
 constexpr GaugeInfo kGaugeTable[kNumGauges] = {

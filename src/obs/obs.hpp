@@ -70,6 +70,10 @@ enum class Counter : int {
                              // deadline hopeless, draining)
   kServeCompleted,           // serve requests that reached a terminal
                              // Response (ok or classified failure)
+  kExpandRaiseSteps,         // ESPRESSO EXPAND greedy raise steps
+  kExpandValidityChecks,     // EXPAND candidate raises (literal or output)
+                             // whose validity was decided
+  kExpandOffWordsScanned,    // EXPAND off-set bit-plane words scanned
   kCount
 };
 

@@ -132,12 +132,12 @@ void Server::run_job(Ticket ticket, std::shared_ptr<Job> job) {
     pump_locked();
   }
   job->done(response);
-  {
-    // Only now does drain() consider the job finished: the transport's
-    // completion callback (response file / socket write) has returned.
-    std::lock_guard<std::mutex> lock(mutex_);
-    --running_;
-  }
+  // Only now does drain() consider the job finished: the transport's
+  // completion callback (response file / socket write) has returned.  The
+  // notify happens under the lock, so a drain() that returns (and lets the
+  // Server be destroyed) cannot overlap it.
+  std::lock_guard<std::mutex> lock(mutex_);
+  --running_;
   idle_cv_.notify_all();
 }
 

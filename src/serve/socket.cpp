@@ -43,6 +43,22 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// A socket bound to `path` and listening; the descriptor is closed again
+/// when binding or listening fails.
+int listening_socket(const std::string& path) {
+  const sockaddr_un addr = socket_address(path);
+  const int fd = unix_socket();
+  ::unlink(path.c_str());  // replace a stale socket file
+  std::string failure;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
+    failure = "bind " + path + ": " + std::strerror(errno);
+  else if (::listen(fd, 64) != 0)
+    failure = std::string("listen: ") + std::strerror(errno);
+  if (!failure.empty()) ::close(fd);
+  NSHOT_REQUIRE_CODE(failure.empty(), ErrorCode::kInternal, failure);
+  return fd;
+}
+
 }  // namespace
 
 struct SocketListener::Connection {
@@ -72,15 +88,7 @@ struct SocketListener::Connection {
 };
 
 SocketListener::SocketListener(std::string path, Server& server)
-    : path_(std::move(path)), server_(server) {
-  listen_fd_ = unix_socket();
-  ::unlink(path_.c_str());  // replace a stale socket file
-  const sockaddr_un addr = socket_address(path_);
-  NSHOT_REQUIRE_CODE(
-      ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
-      ErrorCode::kInternal, "bind " + path_ + ": " + std::strerror(errno));
-  NSHOT_REQUIRE_CODE(::listen(listen_fd_, 64) == 0, ErrorCode::kInternal,
-                     std::string("listen: ") + std::strerror(errno));
+    : path_(std::move(path)), server_(server), listen_fd_(listening_socket(path_)) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -143,12 +151,12 @@ void SocketListener::stop() {
     if (stopped_) return;
     stopped_ = true;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes the blocked accept(); the descriptor is closed only
+  // after the accept thread has exited, so it never sees a closed or
+  // reused descriptor.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
   std::vector<std::shared_ptr<Connection>> connections;
   std::vector<std::thread> readers;
   {

@@ -44,7 +44,7 @@ class SocketListener {
 
   std::string path_;
   Server& server_;
-  int listen_fd_ = -1;
+  const int listen_fd_;  // immutable: accept_loop reads it without a lock
   std::thread accept_thread_;
   std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;

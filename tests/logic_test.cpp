@@ -118,16 +118,6 @@ TEST(SpecTest, ValidateRejectsOnOffOverlap) {
   EXPECT_THROW(spec.validate(), Error);
 }
 
-TEST(SpecTest, CubeValidityAgainstOffSet) {
-  TwoLevelSpec spec(2, 2);
-  spec.add_off(0, 0b01);
-  spec.normalize();
-  Cube cube = Cube::full(2, 0b01);
-  EXPECT_FALSE(spec.cube_is_valid(cube));   // hits the off-set of output 0
-  cube.set_outputs(0b10);
-  EXPECT_TRUE(spec.cube_is_valid(cube));    // output 1 has an empty off-set
-}
-
 // ------------------------------------------------------------- espresso --
 
 TEST(EspressoTest, MinimizesXorWithoutDontCares) {

@@ -1,0 +1,30 @@
+// Reference oracle for the heuristic minimizer (test-only; no production
+// binary links it).
+//
+// The minterm-scan EXPAND and the rescan-based IRREDUNDANT that
+// logic/espresso.cpp replaced with bit-plane and incremental versions.
+// They decide every step one code at a time, so they are slow but easy
+// to audit; espresso() must return byte-identical covers.  REDUCE and the
+// initial cover are shared with production.
+#pragma once
+
+#include "logic/cover.hpp"
+#include "logic/espresso.hpp"
+#include "logic/spec.hpp"
+
+namespace nshot::logic::reference {
+
+/// True if the input part of `cube` hits no off-minterm of any output the
+/// cube feeds — i.e. the cube is an implicant of F ∪ D for those outputs.
+bool cube_is_valid(const TwoLevelSpec& spec, const Cube& cube);
+
+/// EXPAND: every candidate raise is checked by scanning the off-lists.
+void expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs);
+
+/// IRREDUNDANT: the greedy set cover rescans every pair's coverers per pick.
+void irredundant(Cover& cover, const TwoLevelSpec& spec);
+
+/// The full EXPAND/IRREDUNDANT/REDUCE loop over the reference steps.
+Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options = {});
+
+}  // namespace nshot::logic::reference

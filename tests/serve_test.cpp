@@ -408,5 +408,21 @@ TEST(SocketTest, ServesConcurrentClientsOverTheSocket) {
   EXPECT_EQ(server.stats().failed, 0);
 }
 
+TEST(SocketTest, StopWakesAListenerBlockedInAccept) {
+  const fs::path dir = test_dir("socket_stop");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  // Let the accept thread block in accept(), then stop from another thread.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto stopped = std::async(std::launch::async, [&] { listener.stop(); });
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  stopped.get();
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_THROW(SocketClient client(path), Error);
+  listener.stop();  // idempotent
+  server.drain();
+}
+
 }  // namespace
 }  // namespace nshot::serve

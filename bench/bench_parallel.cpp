@@ -143,11 +143,23 @@ int main(int argc, char** argv) {
   const int parallel_jobs = 8;  // fixed so the determinism claim is portable
   bool smoke = false;
   const char* out_path = "BENCH_parallel.json";
+  const char* usage = "usage: bench_parallel [--smoke] [OUT.json]\n";
+  bool have_out = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke")
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", usage);
+      return 0;
+    }
+    if (arg == "--smoke") {
       smoke = true;
-    else
+    } else if (arg.empty() || arg[0] == '-' || have_out) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n%s", argv[i], usage);
+      return 2;
+    } else {
       out_path = argv[i];
+      have_out = true;
+    }
   }
 
   std::printf("Parallel engine bench: jobs=1 vs jobs=%d (hardware threads: %d)%s\n\n",

@@ -11,8 +11,8 @@
 // R=256) while the workload stays a pure function of the seed.
 //
 // For each population tier the SAME preloaded schedule runs on the binary
-// heap, the calendar queue, and the adaptive engine (heap below the
-// migration threshold, calendar above it).  The (time, seq) total-order
+// heap, the calendar queue, and the adaptive engine (sorted array below
+// the migration threshold, calendar above it).  The (time, seq) total-order
 // pop contract makes all three runs byte-identical — asserted via a
 // fingerprint over events processed, final simulated time, per-net values
 // and toggle counts — so the recorded events/sec compare engines and

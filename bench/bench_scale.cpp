@@ -36,8 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -56,6 +54,7 @@
 #include "stg/g_format.hpp"
 #include "stg/reachability.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -334,17 +333,35 @@ int main(int argc, char** argv) {
   int jobs = 1;
   int only_tier = 0;
   const char* out_path = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else if (std::strcmp(argv[i], "--huge") == 0)
-      huge = true;
-    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::max(1, std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--tier") == 0 && i + 1 < argc)
-      only_tier = std::clamp(std::atoi(argv[++i]), 1, 10);
-    else
-      out_path = argv[i];
+  const char* usage =
+      "usage: bench_scale [--smoke] [--huge] [--jobs N] [--tier 1-10] [OUT.json]\n";
+  bool have_out = false;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool has_value = i + 1 < argc;
+      if (arg == "--help" || arg == "-h") {
+        std::printf("%s", usage);
+        return 0;
+      }
+      if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--huge") {
+        huge = true;
+      } else if (arg == "--jobs" && has_value) {
+        jobs = parse_int(argv[++i], 1, 1024, "--jobs");
+      } else if (arg == "--tier" && has_value) {
+        only_tier = parse_int(argv[++i], 1, 10, "--tier");
+      } else if (arg.empty() || arg[0] == '-' || have_out) {
+        throw Error("unexpected argument '" + arg + "'");
+      } else {
+        out_path = argv[i];
+        have_out = true;
+      }
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), usage);
+    return 2;
   }
 
   const int hardware = exec::hardware_jobs();

@@ -1,7 +1,9 @@
 #include "faults/adversarial.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
+#include <unordered_map>
 
 #include "exec/cancel.hpp"
 #include "exec/thread_pool.hpp"
@@ -62,47 +64,71 @@ struct Evaluation {
   ProbedRun run;
 };
 
-Evaluation evaluate(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                    std::vector<double> delays, std::uint64_t env_seed,
-                    const ScenarioOptions& options) {
-  FaultScenario scenario;
-  scenario.seed = env_seed;
-  scenario.delays = std::move(delays);
+Evaluation scored(ProbedRun run) {
   Evaluation eval;
-  eval.run = run_probed(spec, circuit, scenario, options);
-  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
+  eval.score = run.report.violations.empty() ? run.min_slack : -kNoMargin;
+  eval.run = std::move(run);
   return eval;
 }
 
-Evaluation evaluate(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                    const sim::CompiledNetlist& compiled, std::vector<double> delays,
-                    std::uint64_t env_seed, const ScenarioOptions& options,
-                    sim::Simulator* reuse) {
-  FaultScenario scenario;
-  scenario.seed = env_seed;
-  scenario.delays = std::move(delays);
-  Evaluation eval;
-  eval.run = run_probed(spec, binding, compiled, scenario, options, reuse);
-  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
-  return eval;
-}
+/// One objective evaluation on the engine `options` selects: uncompiled
+/// reference kernels, the frozen pre-batch compiled driver (`reuse`), or
+/// the calendar-queue TrialRunner with a reused MarginProbe.
+struct Engine {
+  const sg::StateGraph& spec;
+  const netlist::Netlist& circuit;
+  const sim::SpecBinding& binding;
+  const sim::CompiledNetlist& compiled;
+  std::optional<sim::Simulator> reuse;
+  std::optional<sim::TrialRunner> runner;
+  std::optional<MarginProbe> probe;
 
-Evaluation evaluate(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                    std::vector<double> delays, std::uint64_t env_seed,
-                    const ScenarioOptions& options, sim::TrialRunner& runner,
-                    MarginProbe* probe) {
-  FaultScenario scenario;
-  scenario.seed = env_seed;
-  scenario.delays = std::move(delays);
-  Evaluation eval;
-  eval.run = run_probed(spec, binding, scenario, options, runner, probe);
-  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
-  return eval;
-}
+  Engine(const sg::StateGraph& spec_, const netlist::Netlist& circuit_,
+         const sim::SpecBinding& binding_, const sim::CompiledNetlist& compiled_,
+         const AdversarialOptions& options)
+      : spec(spec_), circuit(circuit_), binding(binding_), compiled(compiled_) {
+    if (options.reference_kernels) return;
+    if (options.reference_driver) {
+      reuse.emplace(compiled, sim::SimulatorOptions{});
+    } else {
+      runner.emplace(compiled);
+      probe.emplace(compiled.netlist(), compiled.lib());
+    }
+  }
 
-}  // namespace
+  Evaluation evaluate(const std::vector<double>& delays, std::uint64_t env_seed,
+                      const ScenarioOptions& options) {
+    FaultScenario scenario;
+    scenario.seed = env_seed;
+    scenario.delays = delays;
+    if (runner) return scored(run_probed(spec, binding, scenario, options, *runner, &*probe));
+    if (reuse) return scored(run_probed(spec, binding, compiled, scenario, options, &*reuse));
+    return scored(run_probed(spec, circuit, scenario, options));
+  }
+};
 
-namespace {
+/// Bit-exact hashing and equality of delay vectors: two vectors name the
+/// same trial iff every delay has the same bit pattern (floating-point ==
+/// would merge -0.0 with 0.0, which the memo has no need to reason about).
+std::uint64_t delay_bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+struct DelayBitsHash {
+  std::size_t operator()(const std::vector<double>& delays) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double d : delays) {
+      h = (h ^ delay_bits(d)) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+struct DelayBitsEqual {
+  bool operator()(const std::vector<double>& a, const std::vector<double>& b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) { return delay_bits(x) == delay_bits(y); });
+  }
+};
 
 /// The best point one hill-climb restart found, plus its cost.  Restarts
 /// are fully independent — each derives its environment stream and climb
@@ -114,7 +140,8 @@ struct RestartOutcome {
   std::uint64_t env_seed = 0;
   sim::ConformanceReport report;
   bool violation_found = false;
-  long evaluations = 0;
+  long evaluations = 0;  // proposals, trial-backed or not
+  long skipped = 0;      // proposals answered without a trial
 };
 
 RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist& circuit,
@@ -126,35 +153,13 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
   // in the delay vector, so accepted steps are genuine descents.
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-
-  // The whole climb is a serial evaluate loop — the prime engine-reuse
-  // site.  Engine three-way: uncompiled reference kernels, the frozen
-  // pre-batch compiled driver, or (default) the calendar-queue
-  // TrialRunner with a restart-reused MarginProbe.
-  std::optional<sim::Simulator> reuse;
-  std::optional<sim::TrialRunner> runner;
-  std::optional<MarginProbe> probe;
-  if (!options.reference_kernels) {
-    if (options.reference_driver) {
-      reuse.emplace(compiled, sim::SimulatorOptions{});
-    } else {
-      runner.emplace(compiled);
-      probe.emplace(compiled.netlist(), compiled.lib());
-    }
-  }
-  auto eval_point = [&](const std::vector<double>& delays) {
-    return options.reference_kernels
-               ? evaluate(spec, circuit, delays, env_seed, options.run)
-           : options.reference_driver
-               ? evaluate(spec, binding, compiled, delays, env_seed, options.run, &*reuse)
-               : evaluate(spec, binding, delays, env_seed, options.run, *runner, &*probe);
-  };
+  Engine engine(spec, circuit, binding, compiled, options);
 
   RestartOutcome out;
   out.env_seed = env_seed;
 
   std::vector<double> current = sample_uniform(box, space, rng);
-  Evaluation eval = eval_point(current);
+  Evaluation eval = engine.evaluate(current, env_seed, options.run);
   ++out.evaluations;
   double current_score = eval.score;
   auto take_best = [&](const std::vector<double>& delays, const Evaluation& e) {
@@ -167,6 +172,16 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
     }
   };
   take_best(current, eval);
+
+  // Exact proposal memo: the score of every vector this restart has run.
+  // The objective is a pure function of the vector within a restart, and
+  // a stored score is all a revisit needs: current_score never rises and
+  // always equals the restart's best, so a vector first scored s >= the
+  // then-current score can now at most be accepted sideways, which never
+  // reaches take_best's strict-improvement branch.  Proposals are still
+  // counted in `evaluations`, so the result does not change.
+  std::unordered_map<std::vector<double>, double, DelayBitsHash, DelayBitsEqual> scored_at;
+  scored_at.emplace(current, current_score);
 
   for (int it = 0; it < options.iterations && !out.violation_found; ++it) {
     exec::checkpoint();
@@ -181,8 +196,21 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
     } else if (box.lo[i] < box.hi[i]) {
       candidate[i] = rng.next_double(box.lo[i], box.hi[i]);
     }
-    Evaluation step = eval_point(candidate);
     ++out.evaluations;
+    // A no-op proposal (the snap landed on the corner the gate already
+    // holds) is a sideways move onto the current point itself.
+    if (delay_bits(candidate[i]) == delay_bits(current[i])) {
+      ++out.skipped;
+      continue;
+    }
+    if (const auto seen = scored_at.find(candidate); seen != scored_at.end()) {
+      ++out.skipped;
+      NSHOT_ASSERT(!(seen->second < current_score), "adversarial memo: score below current");
+      if (seen->second <= current_score) current = std::move(candidate);
+      continue;
+    }
+    Evaluation step = engine.evaluate(candidate, env_seed, options.run);
+    scored_at.emplace(candidate, step.score);
     if (step.score <= current_score) {  // accept sideways moves too
       current = std::move(candidate);
       current_score = step.score;
@@ -227,11 +255,13 @@ AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
     }
     if (result.violation_found) break;
   }
-  // All restarts' evaluations, not just the merged ones: the counter
-  // reflects work actually done, so it is nondeterministic across jobs
+  // All restarts' evaluations, not just the merged ones: the counters
+  // reflect work actually done, so they are nondeterministic across jobs
   // (parallel restarts past a violation still ran).
-  for (const RestartOutcome& out : restarts)
+  for (const RestartOutcome& out : restarts) {
     obs::count(obs::Counter::kAdversarialEvaluations, out.evaluations);
+    obs::count(obs::Counter::kAdversarialSkipped, out.skipped);
+  }
   return result;
 }
 
@@ -251,28 +281,11 @@ MonteCarloResult stressed_monte_carlo(const sg::StateGraph& spec,
   exec::parallel_for_chunks(
       runs, options.grain > 0 ? options.grain : exec::batch_grain(runs, options.jobs),
       [&](int begin, int end) {
-        std::optional<sim::Simulator> reuse;
-        std::optional<sim::TrialRunner> runner;
-        std::optional<MarginProbe> probe;
-        if (!options.reference_kernels) {
-          if (options.reference_driver) {
-            reuse.emplace(compiled, sim::SimulatorOptions{});
-          } else {
-            runner.emplace(compiled);
-            probe.emplace(compiled.netlist(), compiled.lib());
-          }
-        }
+        Engine engine(spec, circuit, binding, compiled, options);
         for (int r = begin; r < end; ++r) {
           const std::uint64_t seed = run_seed(options.seed, r);
           Rng rng(seed);
-          const Evaluation eval =
-              options.reference_kernels
-                  ? evaluate(spec, circuit, sample_uniform(box, space, rng), seed, options.run)
-              : options.reference_driver
-                  ? evaluate(spec, binding, compiled, sample_uniform(box, space, rng), seed,
-                             options.run, &*reuse)
-                  : evaluate(spec, binding, sample_uniform(box, space, rng), seed, options.run,
-                             *runner, &*probe);
+          const Evaluation eval = engine.evaluate(sample_uniform(box, space, rng), seed, options.run);
           trials[static_cast<std::size_t>(r)] =
               Trial{!eval.run.report.violations.empty(), eval.run.min_slack};
         }

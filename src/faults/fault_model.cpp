@@ -45,10 +45,15 @@ std::string describe_fault(const Fault& fault, const netlist::Netlist& circuit) 
 }
 
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options) {
+  return to_config(scenario, options, scenario.delays);
+}
+
+sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options,
+                                std::vector<double> delays) {
   sim::ClosedLoopConfig config;
   config.sim.seed = scenario.seed;
   config.sim.randomize_delays = true;
-  config.sim.explicit_delays = scenario.delays;
+  config.sim.explicit_delays = std::move(delays);
   config.sim.max_events = options.max_events;
   config.max_transitions = options.max_transitions;
   config.input_delay_min = options.input_delay_min;

@@ -79,6 +79,11 @@ struct ScenarioOptions {
 /// injections, delay overrides, event budget).  Callers may still attach
 /// observers/probes to the returned config before running it.
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options);
+/// to_config with `delays` moved in as the explicit delay assignment in
+/// place of a copy of scenario.delays (callers that pin a materialized
+/// vector skip one copy of it).
+sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options,
+                                std::vector<double> delays);
 
 /// Run one scenario of `circuit` against `spec`.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,

@@ -273,47 +273,54 @@ std::vector<Eq1Requirement> eq1_requirements(const netlist::Netlist& circuit,
   return reqs;
 }
 
-ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                     const FaultScenario& scenario, const ScenarioOptions& options) {
-  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
-  FaultScenario pinned = scenario;
-  pinned.delays = materialize_delays(circuit, scenario);
+namespace {
 
-  MarginProbe probe(circuit, lib);
-  sim::ClosedLoopConfig config = to_config(pinned, options);
+/// The run's config with the materialized delay vector moved in as its
+/// explicit assignment — the one copy of the vector a probed run makes;
+/// the Eq. 1 evaluation reads it back from config.sim.explicit_delays.
+template <typename Circuit>
+sim::ClosedLoopConfig probed_config(const Circuit& circuit, const FaultScenario& scenario,
+                                    const ScenarioOptions& options, MarginProbe& probe) {
+  sim::ClosedLoopConfig config =
+      to_config(scenario, options, materialize_delays(circuit, scenario));
   config.observer = probe.observer();
   config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
+  return config;
+}
 
-  ProbedRun run;
-  run.report = sim::run_closed_loop(spec, circuit, config);
-  run.eq1 = eq1_margins(circuit, lib, pinned.delays);
+/// Fold the probe's ω statistics and the Eq. 1 margins into the run.
+void collect_margins(const MarginProbe& probe, std::vector<Eq1Margin> eq1, ProbedRun& run) {
+  run.eq1 = std::move(eq1);
   for (int k = 0; k < probe.num_cells(); ++k) {
     run.omega.push_back(probe.stats(k));
     run.min_slack = std::min(run.min_slack, probe.stats(k).min_slack());
   }
   for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
+}
+
+}  // namespace
+
+ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
+                     const FaultScenario& scenario, const ScenarioOptions& options) {
+  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
+  MarginProbe probe(circuit, lib);
+  const sim::ClosedLoopConfig config = probed_config(circuit, scenario, options, probe);
+
+  ProbedRun run;
+  run.report = sim::run_closed_loop(spec, circuit, config);
+  collect_margins(probe, eq1_margins(circuit, lib, config.sim.explicit_delays), run);
   return run;
 }
 
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const sim::CompiledNetlist& compiled, const FaultScenario& scenario,
                      const ScenarioOptions& options, sim::Simulator* reuse) {
-  FaultScenario pinned = scenario;
-  pinned.delays = materialize_delays(compiled, scenario);
-
   MarginProbe probe(compiled.netlist(), compiled.lib());
-  sim::ClosedLoopConfig config = to_config(pinned, options);
-  config.observer = probe.observer();
-  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
+  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
 
   ProbedRun run;
   run.report = sim::run_closed_loop(spec, binding, compiled, config, nullptr, reuse);
-  run.eq1 = eq1_margins(compiled, pinned.delays);
-  for (int k = 0; k < probe.num_cells(); ++k) {
-    run.omega.push_back(probe.stats(k));
-    run.min_slack = std::min(run.min_slack, probe.stats(k).min_slack());
-  }
-  for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
+  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
   return run;
 }
 
@@ -321,28 +328,17 @@ ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe_reuse) {
   const sim::CompiledNetlist& compiled = runner.compiled();
-  FaultScenario pinned = scenario;
-  pinned.delays = materialize_delays(compiled, scenario);
-
   std::optional<MarginProbe> local;
   MarginProbe* probe = probe_reuse;
   if (probe != nullptr)
     probe->reset();
   else
     probe = &local.emplace(compiled.netlist(), compiled.lib());
-
-  sim::ClosedLoopConfig config = to_config(pinned, options);
-  config.observer = probe->observer();
-  config.on_initialized = [probe](const sim::Simulator& sim) { probe->capture_initial(sim); };
+  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, *probe);
 
   ProbedRun run;
   run.report = runner.run(spec, binding, config);
-  run.eq1 = eq1_margins(compiled, pinned.delays);
-  for (int k = 0; k < probe->num_cells(); ++k) {
-    run.omega.push_back(probe->stats(k));
-    run.min_slack = std::min(run.min_slack, probe->stats(k).min_slack());
-  }
-  for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
+  collect_margins(*probe, eq1_margins(compiled, config.sim.explicit_delays), run);
   return run;
 }
 

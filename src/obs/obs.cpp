@@ -47,6 +47,7 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"expand_raise_steps", true},
     {"expand_validity_checks", true},
     {"expand_off_words_scanned", true},
+    {"adversarial_skipped", false},
 };
 
 constexpr GaugeInfo kGaugeTable[kNumGauges] = {

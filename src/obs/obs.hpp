@@ -74,6 +74,9 @@ enum class Counter : int {
   kExpandValidityChecks,     // EXPAND candidate raises (literal or output)
                              // whose validity was decided
   kExpandOffWordsScanned,    // EXPAND off-set bit-plane words scanned
+  kAdversarialSkipped,       // hill-climb proposals answered without a
+                             // trial: no-op or already-scored vectors (nondet
+                             // like kAdversarialEvaluations)
   kCount
 };
 

@@ -143,13 +143,14 @@ void CalendarQueue::resize(std::size_t new_buckets) {
 }
 
 void EventQueue::clear() {
+  sorted_.clear();
   heap_.clear();
   calendar_.clear();
-  // Adaptive state is per-trial: a fresh trial starts back on the heap
-  // with a zeroed migration count, so its engine trajectory depends only
-  // on the trial itself (the determinism contract clear() already keeps
-  // for the calendar geometry).
-  adaptive_on_calendar_ = false;
+  // Adaptive state is per-trial: a fresh trial starts back on the sorted
+  // array with a zeroed migration count, so its engine trajectory depends
+  // only on the trial itself (the determinism contract clear() already
+  // keeps for the calendar geometry).
+  engine_ = initial_engine(kind_);
   migrations_ = 0;
 }
 

@@ -10,6 +10,8 @@
 //    shipped with (PR 3).  O(log n) per operation; kept compiled in as
 //    the reference queue and as the engine of the frozen pre-batch
 //    driver leg in bench_kernels.
+//  * SortedArrayQueue — one flat array in ascending (time, seq) order;
+//    the adaptive queue's small-population engine (below).
 //  * CalendarQueue — R. Brown's calendar queue (CACM 1988): buckets of
 //    width `w` (a "day"), `nb` buckets to a "year"; an event lands in
 //    bucket floor(t/w) mod nb and pops by scanning the current day
@@ -71,18 +73,62 @@ class BinaryHeapQueue {
   }
   void clear() { heap_.clear(); }
 
-  /// Hand every queued event to `fn` in UNSPECIFIED order and empty the
-  /// queue — the adaptive queue's migration path.  The receiving queue
-  /// re-establishes its own order, so pop order is unaffected (the
-  /// comparator is total).
+ private:
+  std::vector<Event> heap_;
+};
+
+/// Sorted-array queue: the pending events in ascending (time, seq) order
+/// in one flat arena, the minimum at head_.  Pop advances head_.  Push
+/// appends when the event sorts last — the common case, a new event being
+/// now + a gate delay — and otherwise binary-searches its slot and shifts
+/// the later events up with one block move, so a backlog of far-future
+/// events (a preloaded input schedule) costs a memmove, not a compare per
+/// element.  At the adaptive queue's populations (under kAdaptiveUp) this
+/// beats the heap's sift-down on every pop.  The arena rewinds whenever
+/// it drains and compacts once the consumed prefix outgrows the live
+/// suffix, so it stays O(population); clear() keeps its capacity across
+/// trials.
+class SortedArrayQueue {
+ public:
+  bool empty() const { return head_ == events_.size(); }
+  std::size_t size() const { return events_.size() - head_; }
+  const Event& top() const { return events_[head_]; }
+  void push(const Event& e) {
+    if (empty() || !(events_.back() > e)) {
+      events_.push_back(e);
+      return;
+    }
+    const auto later = std::upper_bound(
+        events_.begin() + static_cast<std::ptrdiff_t>(head_), events_.end(), e,
+        [](const Event& a, const Event& b) { return b > a; });
+    events_.insert(later, e);
+  }
+  void pop() {
+    if (++head_ == events_.size()) {
+      clear();
+    } else if (head_ >= kCompactAt && head_ > events_.size() - head_) {
+      events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+  void clear() {
+    events_.clear();
+    head_ = 0;
+  }
+
+  /// Hand every queued event to `fn` (in pop order) and empty the queue —
+  /// the adaptive queue's migration path.
   template <typename Fn>
   void consume_all(Fn&& fn) {
-    for (const Event& e : heap_) fn(e);
-    heap_.clear();
+    for (std::size_t i = head_; i < events_.size(); ++i) fn(events_[i]);
+    clear();
   }
 
  private:
-  std::vector<Event> heap_;
+  static constexpr std::size_t kCompactAt = 64;
+
+  std::vector<Event> events_;
+  std::size_t head_ = 0;
 };
 
 /// Calendar queue with arena-backed buckets.  See the file comment for
@@ -255,54 +301,70 @@ enum class QueueKind : std::uint8_t { kBinaryHeap, kCalendar, kAdaptive };
 /// Simulator::reset never flips it.
 ///
 /// kAdaptive picks the engine by the live event population: a handful of
-/// pending events lives in the binary heap (two hot cache lines beat the
-/// calendar's day arithmetic at Table-2 scale — DESIGN §11), and when the
-/// population crosses kAdaptiveUp the whole queue migrates into the
-/// calendar, whose O(1) push/pop wins at the populations bench_queue_scaling
-/// measures.  Migration is order-safe by construction: the comparator is a
-/// TOTAL order on (time, seq), so any queue holding the same event set pops
-/// the same sequence — switching engines mid-trial cannot move a byte of
-/// any simulation artifact.  The down threshold leaves a wide hysteresis
-/// band so a population oscillating around the crossover does not thrash.
+/// pending events lives in the sorted array (a couple of hot cache lines,
+/// an O(1) pop and a mostly-append push beat both the heap's sift-down
+/// and the calendar's day arithmetic at Table-2 scale — DESIGN §13), and
+/// when the population crosses kAdaptiveUp the whole queue migrates into
+/// the calendar, whose O(1) push/pop wins at the populations
+/// bench_queue_scaling measures.  Migration is order-safe by construction:
+/// the comparator is a TOTAL order on (time, seq), so any queue holding
+/// the same event set pops the same sequence — switching engines mid-trial
+/// cannot move a byte of any simulation artifact.  The down threshold
+/// leaves a wide hysteresis band so a population oscillating around the
+/// crossover does not thrash.
 class EventQueue {
  public:
-  /// Population at which the adaptive queue migrates heap -> calendar.
+  /// Population at which the adaptive queue migrates to the calendar.
   /// Chosen from the BENCH_queue_scaling ladder: the calendar's in-run
-  /// events/sec overtakes the heap's between the ~200 and ~800 pending
-  /// tiers on the reference container.
+  /// events/sec overtakes the small engine's between the ~200 and ~800
+  /// pending tiers on the reference container.
   static constexpr std::size_t kAdaptiveUp = 256;
   /// Population at which it migrates back (kAdaptiveUp / 8: re-migration
-  /// only pays once the population is unambiguously heap-scale again).
+  /// only pays once the population is unambiguously small again).
   static constexpr std::size_t kAdaptiveDown = 32;
 
-  explicit EventQueue(QueueKind kind = QueueKind::kBinaryHeap) : kind_(kind) {}
+  explicit EventQueue(QueueKind kind = QueueKind::kBinaryHeap)
+      : kind_(kind), engine_(initial_engine(kind)) {}
 
   QueueKind kind() const { return kind_; }
-  bool empty() const { return on_calendar() ? calendar_.empty() : heap_.empty(); }
-  std::size_t size() const { return on_calendar() ? calendar_.size() : heap_.size(); }
-  const Event& top() const { return on_calendar() ? calendar_.top() : heap_.top(); }
+  bool empty() const {
+    if (engine_ == Engine::kSorted) return sorted_.empty();
+    return engine_ == Engine::kCalendar ? calendar_.empty() : heap_.empty();
+  }
+  std::size_t size() const {
+    if (engine_ == Engine::kSorted) return sorted_.size();
+    return engine_ == Engine::kCalendar ? calendar_.size() : heap_.size();
+  }
+  const Event& top() const {
+    if (engine_ == Engine::kSorted) return sorted_.top();
+    return engine_ == Engine::kCalendar ? calendar_.top() : heap_.top();
+  }
   void push(const Event& e) {
-    if (on_calendar()) {
+    if (engine_ == Engine::kSorted) {
+      sorted_.push(e);
+      if (sorted_.size() >= kAdaptiveUp) {
+        sorted_.consume_all([this](const Event& ev) { calendar_.push(ev); });
+        engine_ = Engine::kCalendar;
+        ++migrations_;
+      }
+    } else if (engine_ == Engine::kCalendar) {
       calendar_.push(e);
-      return;
-    }
-    heap_.push(e);
-    if (kind_ == QueueKind::kAdaptive && heap_.size() >= kAdaptiveUp) {
-      heap_.consume_all([this](const Event& ev) { calendar_.push(ev); });
-      adaptive_on_calendar_ = true;
-      ++migrations_;
+    } else {
+      heap_.push(e);
     }
   }
   void pop() {
-    if (!on_calendar()) {
+    if (engine_ == Engine::kSorted) {
+      sorted_.pop();
+    } else if (engine_ == Engine::kCalendar) {
+      calendar_.pop();
+      if (kind_ == QueueKind::kAdaptive && calendar_.size() <= kAdaptiveDown) {
+        calendar_.consume_all([this](const Event& ev) { sorted_.push(ev); });
+        engine_ = Engine::kSorted;
+        ++migrations_;
+      }
+    } else {
       heap_.pop();
-      return;
-    }
-    calendar_.pop();
-    if (kind_ == QueueKind::kAdaptive && calendar_.size() <= kAdaptiveDown) {
-      calendar_.consume_all([this](const Event& ev) { heap_.push(ev); });
-      adaptive_on_calendar_ = false;
-      ++migrations_;
     }
   }
   void clear();
@@ -312,13 +374,26 @@ class EventQueue {
   std::uint64_t migrations() const { return migrations_; }
 
  private:
-  bool on_calendar() const {
-    return kind_ == QueueKind::kCalendar || adaptive_on_calendar_;
+  /// The engine holding the events right now: fixed for kBinaryHeap and
+  /// kCalendar, the sorted array or the calendar for kAdaptive.
+  enum class Engine : std::uint8_t { kHeap, kSorted, kCalendar };
+
+  static Engine initial_engine(QueueKind kind) {
+    switch (kind) {
+      case QueueKind::kCalendar:
+        return Engine::kCalendar;
+      case QueueKind::kAdaptive:
+        return Engine::kSorted;
+      case QueueKind::kBinaryHeap:
+        break;
+    }
+    return Engine::kHeap;
   }
 
   QueueKind kind_;
-  bool adaptive_on_calendar_ = false;
+  Engine engine_;
   std::uint64_t migrations_ = 0;
+  SortedArrayQueue sorted_;
   BinaryHeapQueue heap_;
   CalendarQueue calendar_;
 };

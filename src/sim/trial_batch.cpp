@@ -324,11 +324,14 @@ void TrialRunner::run_fast(const sg::StateGraph& spec, const SpecBinding& bindin
     // pop-commit-evaluate cycle runs inside Simulator::run_burst and only
     // observable commits surface here.  Commits bypass the log entirely.
     sim_.set_commit_log(nullptr);
+    // Without a recorder the extra observer (the margin probe, say) is the
+    // only pre-check: hand it over as is rather than through a wrapper —
+    // one std::function hop per commit instead of two.
     NetObserver pre_observers;
-    const NetObserver* pre = nullptr;
-    if (vcd_observer || config.observer) {
+    const NetObserver* pre = config.observer ? &config.observer : nullptr;
+    if (vcd_observer) {
       pre_observers = [&](NetId net, bool value, double time) {
-        if (vcd_observer) vcd_observer(net, value, time);
+        vcd_observer(net, value, time);
         if (config.observer) config.observer(net, value, time);
       };
       pre = &pre_observers;

@@ -19,11 +19,11 @@
 //    config matches its group leader's (then it shares the leader's
 //    execution outright — one scalar run serves every such lane).
 //  * TrialRunner is that scalar path, rebuilt for throughput: an adaptive-
-//    queue simulator (sim/event_queue.hpp — heap at small populations,
-//    calendar past the measured crossover) reused across trials, the
-//    cached plane settle instead of a per-trial relaxation, and a commit
-//    log drained after each step instead of a std::function observer per
-//    commit.
+//    queue simulator (sim/event_queue.hpp — sorted array at small
+//    populations, calendar past the measured crossover) reused across
+//    trials, the cached plane settle instead of a per-trial relaxation,
+//    and a commit log drained after each step instead of a std::function
+//    observer per commit.
 //
 // The contract is byte-identity: for every config, TrialRunner::run
 // produces the same ConformanceReport — violation strings, simulated-time

@@ -7,7 +7,10 @@
 // same-tick FIFO stability, day/year geometry resizing under load, the
 // behind-cursor push the simulator's now()-epsilon scheduling permits,
 // and clear()'s arena-reuse + geometry-reset semantics (per-trial resize
-// trajectories must not depend on what earlier trials scheduled).
+// trajectories must not depend on what earlier trials scheduled).  The
+// adaptive queue and its sorted-array small side are held to the same
+// pop order against std::priority_queue over random interleavings that
+// cross the migration thresholds both ways.
 //
 // The CI matrix runs this binary under ASan and TSan.
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -288,9 +292,9 @@ TEST(CalendarQueueTest, ThousandPendingBattleWithYearWrapAndResize) {
 }
 
 TEST(AdaptiveQueueTest, MigratesAtThresholdsAndPreservesPopOrder) {
-  // The adaptive engine starts on the heap, migrates to the calendar when
-  // the population crosses the up-threshold, and back when it drains past
-  // the down-threshold.  Every migration moves the full pending set, so
+  // The adaptive engine starts on its sorted array, migrates to the
+  // calendar when the population crosses the up-threshold, and back when
+  // it drains past the down-threshold.  Every migration moves the full pending set, so
   // the pop stream must stay the (time, seq) total order throughout.
   Rng rng(23);
   EventQueue adaptive(QueueKind::kAdaptive);
@@ -334,7 +338,93 @@ TEST(AdaptiveQueueTest, ClearResetsMigrationStateForTrialReuse) {
   // A reused queue's engine trajectory depends only on this trial.
   EXPECT_EQ(adaptive.migrations(), std::uint64_t{0});
   adaptive.push(make_event(1.0, 0));
-  EXPECT_EQ(adaptive.migrations(), std::uint64_t{0});  // small again: back on the heap
+  EXPECT_EQ(adaptive.migrations(), std::uint64_t{0});  // small again: back on the sorted array
+}
+
+TEST(AdaptiveQueueTest, RandomInterleavingsPopLikeAPriorityQueue) {
+  // Seeded push/pop interleavings whose population ramps past kAdaptiveUp
+  // and drains past kAdaptiveDown again, several times, with times drawn
+  // from a coarse grid so many events tie on time (seq breaks the tie).
+  // Every engine kind must pop exactly the sequence a std::priority_queue
+  // ordered by Event::operator> pops.
+  for (const QueueKind kind : {QueueKind::kAdaptive, QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed * 131 + static_cast<std::uint64_t>(kind));
+      EventQueue queue(kind);
+      std::priority_queue<Event, std::vector<Event>, std::greater<Event>> ref;
+      std::uint64_t seq = 0;
+      double now = 0.0;
+      bool filling = true;
+      int crossings = 0;
+      for (int op = 0; op < 20000 && crossings < 8; ++op) {
+        if (filling && queue.size() > EventQueue::kAdaptiveUp + 40) {
+          filling = false;
+          ++crossings;
+        } else if (!filling && queue.size() < EventQueue::kAdaptiveDown / 2) {
+          filling = true;
+          ++crossings;
+        }
+        const bool push = ref.empty() || rng.next_bool(filling ? 0.7 : 0.3);
+        if (push) {
+          // Grid times (ties galore), with the odd same-tick push.
+          const double t = rng.next_bool(0.1)
+                               ? now
+                               : now + 0.25 * static_cast<double>(rng.next_below(12));
+          const Event e = make_event(t, seq++);
+          queue.push(e);
+          ref.push(e);
+        } else {
+          ASSERT_FALSE(queue.empty());
+          const Event want = ref.top();
+          expect_same_event(queue.top(), want);
+          now = want.time;
+          queue.pop();
+          ref.pop();
+        }
+        ASSERT_EQ(queue.size(), ref.size());
+      }
+      EXPECT_EQ(crossings, 8) << "seed " << seed;
+      if (kind == QueueKind::kAdaptive) {
+        EXPECT_GE(queue.migrations(), std::uint64_t{8}) << "seed " << seed;
+      }
+      while (!ref.empty()) {
+        expect_same_event(queue.top(), ref.top());
+        queue.pop();
+        ref.pop();
+      }
+      EXPECT_TRUE(queue.empty());
+    }
+  }
+}
+
+TEST(SortedArrayQueueTest, SteadyPopulationCompactsAndKeepsPopOrder) {
+  // A population hovering well under kAdaptiveUp for thousands of
+  // operations: the consumed prefix outgrows the live suffix again and
+  // again (compaction), and every full drain rewinds the arena.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    SortedArrayQueue queue;
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> ref;
+    std::uint64_t seq = 0;
+    double now = 0.0;
+    for (int op = 0; op < 8000; ++op) {
+      const bool drain_phase = (op / 1000) % 4 == 3;
+      const double p_push = drain_phase ? 0.2 : (ref.size() < 60 ? 0.6 : 0.45);
+      if (ref.empty() || rng.next_bool(p_push)) {
+        const Event e = make_event(now + 0.5 * static_cast<double>(rng.next_below(6)), seq++);
+        queue.push(e);
+        ref.push(e);
+      } else {
+        const Event want = ref.top();
+        expect_same_event(queue.top(), want);
+        now = want.time;
+        queue.pop();
+        ref.pop();
+      }
+      ASSERT_EQ(queue.size(), ref.size());
+      ASSERT_EQ(queue.empty(), ref.empty());
+    }
+  }
 }
 
 /// Two unequal combinational chains from one input, converging on an AND

@@ -12,6 +12,7 @@
 #include "faults/minimize.hpp"
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
+#include "obs/obs.hpp"
 #include "sim/conformance.hpp"
 
 namespace nshot {
@@ -203,6 +204,21 @@ TEST(AdversarialTest, FindsTrespassUniformMonteCarloMisses) {
   EXPECT_LT(adv.best_slack, 0.0);
   ASSERT_FALSE(adv.report.violations.empty());
   EXPECT_EQ(adv.report.violations.front().kind, sim::ViolationKind::kHazard);
+}
+
+TEST(AdversarialTest, SkippedProposalsAreCounted) {
+  // No-op corner snaps and revisited vectors are answered from the
+  // restart's score memo: some proposals skip their trial, never all.
+  const Synthesized s = synthesize("chu133");
+  const obs::Session session("faults_test");
+  const faults::AdversarialResult adv =
+      faults::adversarial_delay_search(s.graph, s.circuit, faults::AdversarialOptions{});
+  const long evaluations = session.counter_total(obs::Counter::kAdversarialEvaluations);
+  const long skipped = session.counter_total(obs::Counter::kAdversarialSkipped);
+  EXPECT_EQ(evaluations, adv.evaluations);
+  EXPECT_GT(skipped, 0);
+  EXPECT_LT(skipped, evaluations);
+  EXPECT_FALSE(obs::counter_info(obs::Counter::kAdversarialSkipped).deterministic);
 }
 
 TEST(MinimizeTest, ShrinksMultiFaultFailureToSingleFaultWitness) {

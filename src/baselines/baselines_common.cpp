@@ -23,7 +23,6 @@ logic::TwoLevelSpec next_state_spec(const sg::StateGraph& sg) {
     }
   }
   spec.normalize();
-  spec.validate();
   return spec;
 }
 

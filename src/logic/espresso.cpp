@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <vector>
 
 #include "logic/bitslice.hpp"
@@ -41,17 +42,14 @@ std::vector<OnPair> collect_on_pairs(const TwoLevelSpec& spec) {
 // malloc arena the difference vanished, so it was heap retention across
 // thread arenas, not live data.
 
-/// The sorted distinct off-codes of all outputs.
+/// The sorted distinct off-codes of all outputs (the spec is normalized,
+/// so each off-list is already sorted and distinct).
 std::vector<std::uint64_t> union_off_codes(const TwoLevelSpec& spec) {
   std::vector<std::uint64_t> codes;
-  std::vector<std::uint64_t> list;
   std::vector<std::uint64_t> merged;
   for (int o = 0; o < spec.num_outputs(); ++o) {
-    list.assign(spec.off(o).begin(), spec.off(o).end());
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
     merged.clear();
-    std::set_union(codes.begin(), codes.end(), list.begin(), list.end(),
+    std::set_union(codes.begin(), codes.end(), spec.off(o).begin(), spec.off(o).end(),
                    std::back_inserter(merged));
     codes.swap(merged);
   }
@@ -445,6 +443,7 @@ CoverCost cost_of(const Cover& cover) {
 // Without sharing each function is minimized independently (expansion
 // never raises output parts in that mode).
 Cover espresso_initial_cover(const TwoLevelSpec& spec, bool share_outputs) {
+  NSHOT_REQUIRE(spec.normalized(), "espresso_initial_cover needs a normalized spec");
   Cover cover(spec.num_inputs(), spec.num_outputs());
   if (!share_outputs) {
     for (int o = 0; o < spec.num_outputs(); ++o)
@@ -452,37 +451,51 @@ Cover espresso_initial_cover(const TwoLevelSpec& spec, bool share_outputs) {
         cover.add(Cube::minterm(code, spec.num_inputs(), 1ULL << o));
     return cover;
   }
-  std::vector<std::uint64_t> codes;
-  for (int o = 0; o < spec.num_outputs(); ++o)
-    codes.insert(codes.end(), spec.on(o).begin(), spec.on(o).end());
-  std::sort(codes.begin(), codes.end());
-  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-
-  for (const std::uint64_t code : codes) {
+  // One merge over the sorted on-lists, one cursor per output: each step
+  // takes the smallest code under any cursor and feeds every output whose
+  // cursor sits on it.
+  const int outputs = spec.num_outputs();
+  std::vector<std::size_t> at(static_cast<std::size_t>(outputs), 0);
+  for (;;) {
+    std::uint64_t code = ~0ULL;
     std::uint64_t outs = 0;
-    for (int o = 0; o < spec.num_outputs(); ++o) {
-      if (std::binary_search(spec.on(o).begin(), spec.on(o).end(), code)) outs |= (1ULL << o);
+    for (int o = 0; o < outputs; ++o) {
+      const std::vector<std::uint64_t>& on = spec.on(o);
+      const std::size_t i = at[static_cast<std::size_t>(o)];
+      if (i == on.size() || on[i] > code) continue;
+      if (on[i] < code) {
+        code = on[i];
+        outs = 0;
+      }
+      outs |= 1ULL << o;
     }
-    if (outs != 0) cover.add(Cube::minterm(code, spec.num_inputs(), outs));
+    if (outs == 0) break;
+    for (std::uint64_t rest = outs; rest; rest &= rest - 1)
+      ++at[static_cast<std::size_t>(std::countr_zero(rest))];
+    cover.add(Cube::minterm(code, spec.num_inputs(), outs));
   }
   return cover;
 }
 
 void espresso_expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs) {
+  NSHOT_REQUIRE(spec.normalized(), "espresso_expand needs a normalized spec");
   expand(cover, spec, OffSetPlanes(spec), share_outputs, -1);
 }
 
 void espresso_irredundant(Cover& cover, const TwoLevelSpec& spec) {
+  NSHOT_REQUIRE(spec.normalized(), "espresso_irredundant needs a normalized spec");
   irredundant(cover, spec, -1);
 }
 
-void espresso_reduce(Cover& cover, const TwoLevelSpec& spec) { reduce(cover, spec, -1); }
+void espresso_reduce(Cover& cover, const TwoLevelSpec& spec) {
+  NSHOT_REQUIRE(spec.normalized(), "espresso_reduce needs a normalized spec");
+  reduce(cover, spec, -1);
+}
 
 Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options) {
   const obs::Span span("espresso");
-  TwoLevelSpec normalized = spec;
-  normalized.normalize();
-  normalized.validate();
+  std::optional<TwoLevelSpec> storage;
+  const TwoLevelSpec& normalized = normalized_view(spec, storage);
 
   Cover cover = espresso_initial_cover(normalized, options.share_outputs);
   if (cover.empty()) return cover;

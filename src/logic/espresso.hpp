@@ -43,8 +43,13 @@ struct CoverCost {
 CoverCost cost_of(const Cover& cover);
 
 /// Minimize `spec` heuristically.  The returned cover satisfies
-/// F ⊆ cover and cover ∩ R = ∅ for every output (see verify.hpp).
+/// F ⊆ cover and cover ∩ R = ∅ for every output (see verify.hpp).  A
+/// normalized spec is read in place; any other is minimized through a
+/// normalized copy.
 Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options = {});
+
+// The steps below take a normalized spec (TwoLevelSpec::normalized());
+// they throw nshot::Error on any other.
 
 /// The starting cover: with sharing, one minterm cube per distinct
 /// on-minterm feeding every output it is on for; without, one per

@@ -1,6 +1,7 @@
 #include "logic/exact.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -269,9 +270,8 @@ std::optional<Cover> exact_minimize_output(const TwoLevelSpec& spec, int o,
 
 Cover exact_minimize(const TwoLevelSpec& spec, const ExactOptions& options) {
   const obs::Span span("exact");
-  TwoLevelSpec normalized = spec;
-  normalized.normalize();
-  normalized.validate();
+  std::optional<TwoLevelSpec> storage;
+  const TwoLevelSpec& normalized = normalized_view(spec, storage);
 
   // Each output is an independent prime-generation + covering problem;
   // solve them in parallel and concatenate the per-output covers in
@@ -290,6 +290,7 @@ Cover exact_minimize(const TwoLevelSpec& spec, const ExactOptions& options) {
         TwoLevelSpec single(normalized.num_inputs(), 1);
         for (const std::uint64_t code : normalized.on(o)) single.add_on(0, code);
         for (const std::uint64_t code : normalized.off(o)) single.add_off(0, code);
+        single.normalize();
         const Cover heuristic = espresso(single);
         for (Cube c : heuristic) {
           c.set_outputs(1ULL << o);

@@ -96,7 +96,6 @@ PlaFile parse_pla(const std::string& text) {
     });
   }
   spec.normalize();
-  spec.validate();
   return PlaFile{std::move(spec), std::move(input_names), std::move(output_names)};
 }
 

@@ -17,11 +17,13 @@ TwoLevelSpec::TwoLevelSpec(int num_inputs, int num_outputs)
 void TwoLevelSpec::add_on(int o, std::uint64_t code) {
   NSHOT_REQUIRE(o >= 0 && o < num_outputs_, "output index out of range");
   on_[o].push_back(code);
+  normalized_ = false;
 }
 
 void TwoLevelSpec::add_off(int o, std::uint64_t code) {
   NSHOT_REQUIRE(o >= 0 && o < num_outputs_, "output index out of range");
   off_[o].push_back(code);
+  normalized_ = false;
 }
 
 std::size_t TwoLevelSpec::on_pair_count() const {
@@ -33,20 +35,35 @@ std::size_t TwoLevelSpec::on_pair_count() const {
 void TwoLevelSpec::normalize() {
   for (auto* lists : {&on_, &off_}) {
     for (auto& list : *lists) {
-      std::sort(list.begin(), list.end());
+      if (!std::is_sorted(list.begin(), list.end())) std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());
     }
   }
-}
-
-void TwoLevelSpec::validate() const {
+  // F ∩ R per output by one merge of the sorted lists: the first shared
+  // code found is the smallest, as an ascending scan of F would report.
   for (int o = 0; o < num_outputs_; ++o) {
-    for (const std::uint64_t code : on_[o]) {
-      if (std::binary_search(off_[o].begin(), off_[o].end(), code))
-        NSHOT_REQUIRE(false, "minterm " + std::to_string(code) + " is in both F and R of output " +
+    auto on = on_[o].begin();
+    auto off = off_[o].begin();
+    while (on != on_[o].end() && off != off_[o].end()) {
+      if (*on < *off) {
+        ++on;
+      } else if (*off < *on) {
+        ++off;
+      } else {
+        NSHOT_REQUIRE(false, "minterm " + std::to_string(*on) + " is in both F and R of output " +
                                  std::to_string(o));
+      }
     }
   }
+  normalized_ = true;
+}
+
+const TwoLevelSpec& normalized_view(const TwoLevelSpec& spec,
+                                    std::optional<TwoLevelSpec>& storage) {
+  if (spec.normalized()) return spec;
+  storage.emplace(spec);
+  storage->normalize();
+  return *storage;
 }
 
 bool TwoLevelSpec::cube_valid_for_output(const Cube& cube, int o) const {

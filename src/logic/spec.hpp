@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,8 @@ class TwoLevelSpec {
   int num_outputs() const { return num_outputs_; }
 
   /// Add `code` to the on-set of output `o`.  A minterm must not be in both
-  /// the on-set and the off-set of the same output (checked by validate()).
+  /// the on-set and the off-set of the same output (checked by
+  /// normalize()).  Either call clears the normalized flag.
   void add_on(int o, std::uint64_t code);
   void add_off(int o, std::uint64_t code);
 
@@ -35,11 +37,14 @@ class TwoLevelSpec {
   /// Total number of (minterm, output) on-pairs.
   std::size_t on_pair_count() const;
 
-  /// Throws nshot::Error if some output has a minterm in both F and R.
-  void validate() const;
-
-  /// Sorts and deduplicates the minterm lists (call once after filling).
+  /// Sorts and deduplicates the minterm lists, then throws nshot::Error if
+  /// some output has a minterm in both F and R (call once after filling).
+  /// On success the spec is normalized until the next add_on/add_off.
   void normalize();
+
+  /// True when every list is sorted and duplicate-free and F ∩ R = ∅ for
+  /// every output.  The minimizers read a normalized spec in place.
+  bool normalized() const { return normalized_; }
 
   /// True if raising `cube` to feed output `o` would keep it valid.
   bool cube_valid_for_output(const Cube& cube, int o) const;
@@ -49,6 +54,13 @@ class TwoLevelSpec {
   int num_outputs_;
   std::vector<std::vector<std::uint64_t>> on_;
   std::vector<std::vector<std::uint64_t>> off_;
+  bool normalized_ = false;
 };
+
+/// `spec` itself when it is normalized, else a normalized copy held in
+/// `storage` — so callers that need the invariant copy only unnormalized
+/// arguments.
+const TwoLevelSpec& normalized_view(const TwoLevelSpec& spec,
+                                    std::optional<TwoLevelSpec>& storage);
 
 }  // namespace nshot::logic

@@ -1,5 +1,10 @@
 #include "nshot/spec_derivation.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "obs/obs.hpp"
 #include "sg/bitset.hpp"
 #include "util/error.hpp"
@@ -46,10 +51,24 @@ DerivedSpec derive_spec(const sg::StateGraph& sg) {
 
   // One edge sweep builds every signal's excitation plane; the per-state
   // classification below then probes bits instead of rescanning out-edges
-  // per (state, signal) pair.  Identical classification, identical order.
+  // per (state, signal) pair.
   const std::vector<sg::StateSet> excited = sg::all_excited_sets(sg);
-  for (sg::StateId s = 0; s < sg.num_states(); ++s) {
-    const std::uint64_t code = sg.code(s);
+  // States are visited in code order and a code joins a list only when it
+  // differs from the list's last entry, so every list comes out sorted
+  // and duplicate-free: normalize() below reorders nothing and is left
+  // with the F ∩ R check.
+  std::vector<std::pair<std::uint64_t, sg::StateId>> by_code;
+  by_code.reserve(static_cast<std::size_t>(sg.num_states()));
+  for (sg::StateId s = 0; s < sg.num_states(); ++s) by_code.emplace_back(sg.code(s), s);
+  std::sort(by_code.begin(), by_code.end());
+  logic::TwoLevelSpec& spec = derived.spec;
+  auto add_on = [&spec](int o, std::uint64_t code) {
+    if (spec.on(o).empty() || spec.on(o).back() != code) spec.add_on(o, code);
+  };
+  auto add_off = [&spec](int o, std::uint64_t code) {
+    if (spec.off(o).empty() || spec.off(o).back() != code) spec.add_off(o, code);
+  };
+  for (const auto& [code, s] : by_code) {
     for (const OutputIndex& index : derived.outputs) {
       const bool value = sg.value(s, index.signal);
       const Mode mode =
@@ -58,24 +77,23 @@ DerivedSpec derive_spec(const sg::StateGraph& sg) {
               : (value ? Mode::kQuiescentHigh : Mode::kQuiescentLow);
       switch (mode) {
         case Mode::kSet:  // SET = 1, RESET = 0
-          derived.spec.add_on(index.set_output, code);
-          derived.spec.add_off(index.reset_output, code);
+          add_on(index.set_output, code);
+          add_off(index.reset_output, code);
           break;
         case Mode::kQuiescentHigh:  // SET = don't care, RESET = 0
-          derived.spec.add_off(index.reset_output, code);
+          add_off(index.reset_output, code);
           break;
         case Mode::kReset:  // SET = 0, RESET = 1
-          derived.spec.add_off(index.set_output, code);
-          derived.spec.add_on(index.reset_output, code);
+          add_off(index.set_output, code);
+          add_on(index.reset_output, code);
           break;
         case Mode::kQuiescentLow:  // SET = 0, RESET = don't care
-          derived.spec.add_off(index.set_output, code);
+          add_off(index.set_output, code);
           break;
       }
     }
   }
-  derived.spec.normalize();
-  derived.spec.validate();  // fails only if CSC is violated
+  spec.normalize();  // throws only if CSC is violated
   return derived;
 }
 

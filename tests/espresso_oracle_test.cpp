@@ -1,9 +1,10 @@
 // Differential test of the heuristic minimizer against its reference
-// oracle (tests/oracles/espresso_reference): the bit-plane EXPAND and the
-// incremental IRREDUNDANT must return covers byte-identical
-// (Cover::to_string) to the minterm-scan versions they replaced, on the
-// Table 2 corpus, on seeded random (F, D, R) specs and on the specs of
-// random semi-modular controllers.
+// oracle (tests/oracles/espresso_reference): the merge-built initial
+// cover, the bit-plane EXPAND and the incremental IRREDUNDANT must return
+// covers byte-identical (Cover::to_string) to the sort-then-search,
+// minterm-scan and rescan versions they replaced, on the Table 2 corpus,
+// on seeded random (F, D, R) specs and on the specs of random
+// semi-modular controllers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,12 +75,62 @@ TEST(SpecTest, CubeValidityAgainstOffSet) {
   EXPECT_TRUE(reference::cube_is_valid(spec, cube));   // output 1 has an empty off-set
 }
 
+// ----------------------------------------------------- initial cover --
+
+void expect_same_initial_cover(const TwoLevelSpec& spec, const std::string& label) {
+  for (const bool share : {true, false})
+    EXPECT_EQ(espresso_initial_cover(spec, share).to_string(),
+              reference::initial_cover(spec, share).to_string())
+        << label << " share_outputs=" << share;
+}
+
+TEST(InitialCoverOracleTest, SharedCodesAndEmptyOutputs) {
+  // Outputs 1 and 3 have empty on-sets; codes 5 and 9 feed several
+  // outputs; output 4's last code is the largest code of all.
+  TwoLevelSpec spec(4, 5);
+  for (const std::uint64_t code : {9, 1, 5}) spec.add_on(0, code);
+  for (const std::uint64_t code : {5, 9, 2}) spec.add_on(2, code);
+  for (const std::uint64_t code : {15, 5, 0}) spec.add_on(4, code);
+  spec.add_off(1, 3);
+  spec.add_off(3, 5);
+  spec.normalize();
+  expect_same_initial_cover(spec, "hand-built");
+  EXPECT_EQ(espresso_initial_cover(spec, true).size(), 6u);  // codes 0 1 2 5 9 15
+  EXPECT_EQ(espresso_initial_cover(spec, false).size(), 9u);
+
+  TwoLevelSpec empty(3, 2);
+  empty.add_off(0, 1);
+  empty.normalize();
+  expect_same_initial_cover(empty, "no on-codes");
+  EXPECT_TRUE(espresso_initial_cover(empty, true).empty());
+
+  // 64 inputs: the all-ones code is a real code, not an end marker.
+  TwoLevelSpec wide(64, 2);
+  wide.add_on(0, ~0ULL);
+  wide.add_on(1, ~0ULL);
+  wide.add_on(1, 7);
+  wide.normalize();
+  expect_same_initial_cover(wide, "64 inputs");
+  EXPECT_EQ(espresso_initial_cover(wide, true).size(), 2u);
+}
+
+TEST(InitialCoverOracleTest, RandomSpecsMatchOracle) {
+  for (int seed = 0; seed < 200; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 0x2545F4914F6CDD1DULL + 11);
+    const int num_inputs = 2 + static_cast<int>(rng.next_below(11));  // 2..12
+    const int num_outputs = 1 + static_cast<int>(rng.next_below(8));  // 1..8
+    expect_same_initial_cover(random_spec(rng, num_inputs, num_outputs),
+                              "seed " + std::to_string(seed));
+  }
+}
+
 // ------------------------------------------------------------ Table 2 --
 
 class EspressoOracleTable2Test : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EspressoOracleTable2Test, CoverMatchesOracleWithAndWithoutSharing) {
   const TwoLevelSpec spec = core::derive_spec(bench_suite::build_benchmark(GetParam())).spec;
+  expect_same_initial_cover(spec, GetParam());
   for (const bool share : {true, false}) {
     EspressoOptions options;
     options.share_outputs = share;
@@ -123,7 +174,8 @@ TEST_P(EspressoOracleRandomTest, CoverAndStepsMatchOracle) {
 
     // The steps on their own, from the initial cover.
     Cover fast = espresso_initial_cover(spec, options.share_outputs);
-    Cover oracle = fast;
+    Cover oracle = reference::initial_cover(spec, options.share_outputs);
+    ASSERT_EQ(fast.to_string(), oracle.to_string()) << label << " initial cover";
     espresso_expand(fast, spec, options.share_outputs);
     reference::expand(oracle, spec, options.share_outputs);
     ASSERT_EQ(fast.to_string(), oracle.to_string()) << label << " EXPAND";

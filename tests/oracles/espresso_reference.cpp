@@ -32,6 +32,30 @@ bool cube_is_valid(const TwoLevelSpec& spec, const Cube& cube) {
   return true;
 }
 
+Cover initial_cover(const TwoLevelSpec& spec, bool share_outputs) {
+  Cover cover(spec.num_inputs(), spec.num_outputs());
+  if (!share_outputs) {
+    for (int o = 0; o < spec.num_outputs(); ++o)
+      for (const std::uint64_t code : spec.on(o))
+        cover.add(Cube::minterm(code, spec.num_inputs(), 1ULL << o));
+    return cover;
+  }
+  std::vector<std::uint64_t> codes;
+  for (int o = 0; o < spec.num_outputs(); ++o)
+    codes.insert(codes.end(), spec.on(o).begin(), spec.on(o).end());
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+
+  for (const std::uint64_t code : codes) {
+    std::uint64_t outs = 0;
+    for (int o = 0; o < spec.num_outputs(); ++o) {
+      if (std::binary_search(spec.on(o).begin(), spec.on(o).end(), code)) outs |= (1ULL << o);
+    }
+    if (outs != 0) cover.add(Cube::minterm(code, spec.num_inputs(), outs));
+  }
+  return cover;
+}
+
 void expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs) {
   const std::size_t n = cover.size();
   std::vector<bool> done(n, false);  // already expanded or absorbed
@@ -169,9 +193,8 @@ void irredundant(Cover& cover, const TwoLevelSpec& spec) {
 Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options) {
   TwoLevelSpec normalized = spec;
   normalized.normalize();
-  normalized.validate();
 
-  Cover cover = espresso_initial_cover(normalized, options.share_outputs);
+  Cover cover = initial_cover(normalized, options.share_outputs);
   if (cover.empty()) return cover;
 
   expand(cover, normalized, options.share_outputs);

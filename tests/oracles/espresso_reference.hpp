@@ -1,11 +1,11 @@
 // Reference oracle for the heuristic minimizer (test-only; no production
 // binary links it).
 //
-// The minterm-scan EXPAND and the rescan-based IRREDUNDANT that
-// logic/espresso.cpp replaced with bit-plane and incremental versions.
-// They decide every step one code at a time, so they are slow but easy
-// to audit; espresso() must return byte-identical covers.  REDUCE and the
-// initial cover are shared with production.
+// The minterm-scan EXPAND, the rescan-based IRREDUNDANT and the
+// sort-then-search initial cover that logic/espresso.cpp replaced with
+// bit-plane, incremental and merge-built versions.  They decide every
+// step one code at a time, so they are slow but easy to audit; espresso()
+// must return byte-identical covers.  REDUCE is shared with production.
 #pragma once
 
 #include "logic/cover.hpp"
@@ -17,6 +17,11 @@ namespace nshot::logic::reference {
 /// True if the input part of `cube` hits no off-minterm of any output the
 /// cube feeds — i.e. the cube is an implicant of F ∪ D for those outputs.
 bool cube_is_valid(const TwoLevelSpec& spec, const Cube& cube);
+
+/// The initial cover: with sharing, the on-codes of all outputs are
+/// concatenated, sorted and deduplicated, and each code's outputs are
+/// found by binary search in every on-list.
+Cover initial_cover(const TwoLevelSpec& spec, bool share_outputs);
 
 /// EXPAND: every candidate raise is checked by scanning the off-lists.
 void expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs);

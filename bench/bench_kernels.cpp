@@ -5,9 +5,10 @@
 // StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
 // ReachabilityOptions::reference_maps, compute_regions_reference).  For each
 // benchmark circuit this harness runs the Monte Carlo conformance sweep and
-// the full stress campaign once through the reference path and once through
-// the compiled path — both at jobs=1, so the comparison isolates the kernels
-// from the parallel engine — and
+// the full stress campaign once through the reference path (per-trial
+// compile, heap-queue Simulator) and once through the production path
+// (sim::TrialRunner) — both at jobs=1, so the comparison isolates the
+// kernels from the parallel engine — and
 //   * asserts the two reports are byte-identical;
 //   * records wall-clock times and speedups in BENCH_kernels.json.
 // The logic / reachability / region kernels are timed the same way on
@@ -98,10 +99,10 @@ std::string conformance_fingerprint(const sim::ConformanceReport& r) {
 struct CaseTiming {
   std::string name;
   int states = 0, signals = 0;
-  double conf_reference_ms = 0, conf_compiled_ms = 0, conf_batched_ms = 0;
-  double conf_reference_sd = 0, conf_compiled_sd = 0, conf_batched_sd = 0;
-  double stress_reference_ms = 0, stress_compiled_ms = 0, stress_batched_ms = 0;
-  double stress_reference_sd = 0, stress_compiled_sd = 0, stress_batched_sd = 0;
+  double conf_reference_ms = 0, conf_compiled_ms = 0;
+  double conf_reference_sd = 0, conf_compiled_sd = 0;
+  double stress_reference_ms = 0, stress_compiled_ms = 0;
+  double stress_reference_sd = 0, stress_compiled_sd = 0;
   /// Committed transitions of the conformance sweep (external + internal)
   /// — identical across legs by the byte-identity contract, so per-leg
   /// events/sec ratios are exactly the inverse time ratios.  This is
@@ -143,57 +144,38 @@ CaseTiming measure(const std::string& name, bool smoke) {
   // a deep min-of-N converges on the true floor.
   const int reps = smoke ? 1 : 15;
 
-  // Three legs, interleaved: the uncompiled reference kernels, the frozen
-  // pre-batch compiled driver (reference_driver — binary heap, per-trial
-  // settle, std::function observer), and the default batched engine
-  // (calendar queue + TrialBatch).  The recorded speedups are
-  // reference/compiled (the kernel layer's historical claim) and
-  // compiled/batched (this layer's claim); all three reports must be
-  // byte-identical.
-  sim::ConformanceReport conf_reference, conf_compiled, conf_batched;
-  faults::StressReport stress_reference, stress_compiled, stress_batched;
-  MinTimer conf_ref_t, conf_fast_t, conf_batch_t, stress_ref_t, stress_fast_t, stress_batch_t;
+  // Two legs, interleaved: the reference kernels (per-trial compile,
+  // heap-queue Simulator, std::function observer) and the production
+  // TrialRunner.  The recorded speedups are reference/compiled; both
+  // reports must be byte-identical.
+  sim::ConformanceReport conf_reference, conf_compiled;
+  faults::StressReport stress_reference, stress_compiled;
+  MinTimer conf_ref_t, conf_fast_t, stress_ref_t, stress_fast_t;
   for (int i = 0; i < reps; ++i) {
     conf.reference_kernels = true;
-    conf.reference_driver = false;
     conf_ref_t.sample([&] { conf_reference = sim::check_conformance(g, result.circuit, conf); });
     conf.reference_kernels = false;
-    conf.reference_driver = true;
     conf_fast_t.sample([&] { conf_compiled = sim::check_conformance(g, result.circuit, conf); });
-    conf.reference_driver = false;
-    conf_batch_t.sample([&] { conf_batched = sim::check_conformance(g, result.circuit, conf); });
     stress.reference_kernels = true;
-    stress.reference_driver = false;
     stress_ref_t.sample(
         [&] { stress_reference = faults::run_stress(g, result.circuit, name, stress); });
     stress.reference_kernels = false;
-    stress.reference_driver = true;
     stress_fast_t.sample(
         [&] { stress_compiled = faults::run_stress(g, result.circuit, name, stress); });
-    stress.reference_driver = false;
-    stress_batch_t.sample(
-        [&] { stress_batched = faults::run_stress(g, result.circuit, name, stress); });
   }
   timing.conf_reference_ms = conf_ref_t.best;
   timing.conf_compiled_ms = conf_fast_t.best;
-  timing.conf_batched_ms = conf_batch_t.best;
   timing.conf_reference_sd = conf_ref_t.sd();
   timing.conf_compiled_sd = conf_fast_t.sd();
-  timing.conf_batched_sd = conf_batch_t.sd();
   timing.stress_reference_ms = stress_ref_t.best;
   timing.stress_compiled_ms = stress_fast_t.best;
-  timing.stress_batched_ms = stress_batch_t.best;
   timing.stress_reference_sd = stress_ref_t.sd();
   timing.stress_compiled_sd = stress_fast_t.sd();
-  timing.stress_batched_sd = stress_batch_t.sd();
 
   timing.conf_events = conf_reference.external_transitions + conf_reference.internal_toggles;
-  const std::string conf_fp = conformance_fingerprint(conf_reference);
-  const std::string stress_fp = faults::stress_report_json(stress_reference);
-  timing.identical = conf_fp == conformance_fingerprint(conf_compiled) &&
-                     conf_fp == conformance_fingerprint(conf_batched) &&
-                     stress_fp == faults::stress_report_json(stress_compiled) &&
-                     stress_fp == faults::stress_report_json(stress_batched);
+  timing.identical =
+      conformance_fingerprint(conf_reference) == conformance_fingerprint(conf_compiled) &&
+      faults::stress_report_json(stress_reference) == faults::stress_report_json(stress_compiled);
   return timing;
 }
 
@@ -456,23 +438,38 @@ std::vector<BaselineCase> load_baseline(const std::string& path) {
 int main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = "BENCH_kernels.json";
+  const char* usage = "usage: bench_kernels [--smoke] [--baseline FILE] [OUT.json]\n";
   std::string baseline_path;
+  bool have_out = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", usage);
+      return 0;
+    }
+    if (arg == "--smoke") {
       smoke = true;
-    else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc)
+    } else if (arg == "--baseline") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: --baseline needs a value\n%s", usage);
+        return 2;
+      }
       baseline_path = argv[++i];
-    else
+    } else if (arg.empty() || arg[0] == '-' || have_out) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n%s", argv[i], usage);
+      return 2;
+    } else {
       out_path = argv[i];
+      have_out = true;
+    }
   }
   const std::vector<BaselineCase> baseline = load_baseline(baseline_path);
 
   const int hardware = exec::hardware_jobs();
   std::printf("Kernel bench: reference vs compiled paths, jobs=1%s\n\n",
               smoke ? " (smoke)" : "");
-  std::printf("%-12s %10s %10s %10s %7s %10s %10s %10s %7s %5s\n", "circuit", "conf ref",
-              "conf fast", "conf batch", "batch x", "stress ref", "stress fast", "stress batch",
-              "batch x", "same");
+  std::printf("%-12s %10s %10s %7s %10s %10s %7s %5s\n", "circuit", "conf ref", "conf fast",
+              "x", "stress ref", "stress fast", "x", "same");
 
   bool all_identical = true;
   std::vector<CaseTiming> timings;
@@ -480,11 +477,10 @@ int main(int argc, char** argv) {
     const CaseTiming t = measure(name, smoke);
     NSHOT_REQUIRE(t.identical, "compiled report diverged from reference on " + t.name);
     all_identical &= t.identical;
-    std::printf("%-12s %8.1fms %8.1fms %8.1fms %6.2fx %8.1fms %8.1fms %8.1fms %6.2fx %5s\n",
-                t.name.c_str(), t.conf_reference_ms, t.conf_compiled_ms, t.conf_batched_ms,
-                t.conf_compiled_ms / t.conf_batched_ms, t.stress_reference_ms,
-                t.stress_compiled_ms, t.stress_batched_ms,
-                t.stress_compiled_ms / t.stress_batched_ms, t.identical ? "yes" : "NO");
+    std::printf("%-12s %8.1fms %8.1fms %6.2fx %8.1fms %8.1fms %6.2fx %5s\n", t.name.c_str(),
+                t.conf_reference_ms, t.conf_compiled_ms, t.conf_reference_ms / t.conf_compiled_ms,
+                t.stress_reference_ms, t.stress_compiled_ms,
+                t.stress_reference_ms / t.stress_compiled_ms, t.identical ? "yes" : "NO");
     timings.push_back(t);
   }
 
@@ -504,15 +500,13 @@ int main(int argc, char** argv) {
       "\nobservability: dormant %.1fms, collecting %.1fms (%+.2f%% while collecting)\n",
       obs_timing.disabled_ms, obs_timing.enabled_ms, obs_timing.overhead_pct());
 
-  double conf_reference = 0, conf_compiled = 0, conf_batched = 0;
-  double stress_reference = 0, stress_compiled = 0, stress_batched = 0;
+  double conf_reference = 0, conf_compiled = 0;
+  double stress_reference = 0, stress_compiled = 0;
   for (const CaseTiming& t : timings) {
     conf_reference += t.conf_reference_ms;
     conf_compiled += t.conf_compiled_ms;
-    conf_batched += t.conf_batched_ms;
     stress_reference += t.stress_reference_ms;
     stress_compiled += t.stress_compiled_ms;
-    stress_batched += t.stress_batched_ms;
   }
   const double conf_speedup = conf_compiled > 0 ? conf_reference / conf_compiled : 0;
   const double stress_speedup = stress_compiled > 0 ? stress_reference / stress_compiled : 0;
@@ -520,20 +514,10 @@ int main(int argc, char** argv) {
                                    ? (conf_reference + stress_reference) /
                                          (conf_compiled + stress_compiled)
                                    : 0;
-  // The batched engine's claim: batched vs the frozen pre-batch compiled
-  // driver, same workload, same thread.
-  const double conf_batch_speedup = conf_batched > 0 ? conf_compiled / conf_batched : 0;
-  const double stress_batch_speedup = stress_batched > 0 ? stress_compiled / stress_batched : 0;
-  const double total_batch_speedup =
-      (conf_batched + stress_batched) > 0
-          ? (conf_compiled + stress_compiled) / (conf_batched + stress_batched)
-          : 0;
   std::printf(
-      "\ntotal: kernels vs reference: conformance %.2fx, stress %.2fx, combined %.2fx\n"
-      "       batched vs pre-batch:  conformance %.2fx, stress %.2fx, combined %.2fx "
+      "\ntotal: production vs reference: conformance %.2fx, stress %.2fx, combined %.2fx "
       "(single thread, %d hardware threads)\n",
-      conf_speedup, stress_speedup, total_speedup, conf_batch_speedup, stress_batch_speedup,
-      total_batch_speedup, hardware);
+      conf_speedup, stress_speedup, total_speedup, hardware);
 
   // Cross-build comparison against a pre-kernel-layer bench_parallel run.
   double base_conf = 0, base_stress = 0, base_conf_compiled = 0, base_stress_compiled = 0;
@@ -563,10 +547,7 @@ int main(int argc, char** argv) {
        << ",\n  \"byte_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"conformance_speedup\": " << conf_speedup
        << ",\n  \"stress_speedup\": " << stress_speedup
-       << ",\n  \"total_speedup\": " << total_speedup
-       << ",\n  \"conformance_batch_speedup\": " << conf_batch_speedup
-       << ",\n  \"stress_batch_speedup\": " << stress_batch_speedup
-       << ",\n  \"total_batch_speedup\": " << total_batch_speedup << ",\n  \"cases\": [\n";
+       << ",\n  \"total_speedup\": " << total_speedup << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const CaseTiming& t = timings[i];
     json << "    {\"name\": \"" << t.name << "\", \"states\": " << t.states
@@ -575,21 +556,15 @@ int main(int argc, char** argv) {
          << ", \"conformance_reference_sd\": " << t.conf_reference_sd
          << ", \"conformance_compiled_ms\": " << t.conf_compiled_ms
          << ", \"conformance_compiled_sd\": " << t.conf_compiled_sd
-         << ", \"conformance_batched_ms\": " << t.conf_batched_ms
-         << ", \"conformance_batched_sd\": " << t.conf_batched_sd
          << ", \"conformance_events\": " << t.conf_events
          << ", \"conformance_events_per_sec_reference\": "
          << t.conf_events_per_sec(t.conf_reference_ms)
          << ", \"conformance_events_per_sec_compiled\": "
          << t.conf_events_per_sec(t.conf_compiled_ms)
-         << ", \"conformance_events_per_sec_batched\": "
-         << t.conf_events_per_sec(t.conf_batched_ms)
          << ", \"stress_reference_ms\": " << t.stress_reference_ms
          << ", \"stress_reference_sd\": " << t.stress_reference_sd
          << ", \"stress_compiled_ms\": " << t.stress_compiled_ms
-         << ", \"stress_compiled_sd\": " << t.stress_compiled_sd
-         << ", \"stress_batched_ms\": " << t.stress_batched_ms
-         << ", \"stress_batched_sd\": " << t.stress_batched_sd << "}"
+         << ", \"stress_compiled_sd\": " << t.stress_compiled_sd << "}"
          << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"kernels\": [\n";

@@ -28,7 +28,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -295,11 +294,23 @@ TierResult measure_tier(const BaseCircuit& base, int copies, std::uint64_t max_e
 int main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = "BENCH_queue_scaling.json";
+  const char* usage = "usage: bench_queue_scaling [--smoke] [OUT.json]\n";
+  bool have_out = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", usage);
+      return 0;
+    }
+    if (arg == "--smoke") {
       smoke = true;
-    else
+    } else if (arg.empty() || arg[0] == '-' || have_out) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n%s", argv[i], usage);
+      return 2;
+    } else {
       out_path = argv[i];
+      have_out = true;
+    }
   }
 
   const BaseCircuit base = find_base_circuit(/*min_gates=*/10);

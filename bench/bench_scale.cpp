@@ -14,13 +14,14 @@
 //                     detonant_states vs their *_reference twins;
 //   * trigger       — enforce_trigger_requirement, supercube-containment
 //                     fast path vs the code-at-a-time reference membership;
-//   * reachability  — build_state_graph, sharded level-synchronous BFS over
+//   * reachability  — build_state_graph, the serial hashed BFS over
 //                     mask-compiled firing vs loop firing over ordered
 //                     std::map.
-// The fast legs take a --jobs axis (thread×word fusion: the word-parallel
-// kernels chunk their word ranges across the pool); every case row records
-// the jobs value and the host's hardware concurrency so the JSON is
-// interpretable on any machine.
+// The regions and coding legs take a --jobs axis (thread×word fusion: the
+// word-parallel kernels chunk their word ranges across the pool); trigger
+// and reachability are serial.  Every case row records the jobs value and
+// the host's hardware concurrency so the JSON is interpretable on any
+// machine.
 //
 // Every pair is asserted byte-identical outside the timers; tiers up to
 // 131k states compare full region renderings and structural SG
@@ -176,7 +177,6 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   const stg::Stg net = stg::parse_g(g_text);
   stg::ReachabilityOptions build_options;
   build_options.max_states = 1u << 22;  // chains-10x3 reaches ~2.1M states
-  build_options.jobs = jobs;
   const sg::StateGraph g = stg::build_state_graph(net, build_options);
 
   TierTiming timing;
@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
   // 5..9 chains of 3 signals: ~2k, ~8k, ~33k, ~131k, ~524k states — the
   // default largest tier is ~111x the largest Table 2 circuit; --huge adds
   // chains-10x3 (~2.1M states), mostly as a bounded-memory soak of the
-  // sharded reachability arena.  --tier N measures exactly one tier — CI
+  // reachability marking map.  --tier N measures exactly one tier — CI
   // combines it with --smoke to touch the half-million-state tier without
   // paying for the full ladder.
   std::vector<int> tiers = smoke ? std::vector<int>{5, 6} : std::vector<int>{5, 6, 7, 8, 9};
@@ -405,7 +405,6 @@ int main(int argc, char** argv) {
     const stg::Stg net = stg::parse_g(tier_g(tiers.back()));
     stg::ReachabilityOptions scale_options;
     scale_options.max_states = 1u << 22;
-    scale_options.jobs = jobs;
     const sg::StateGraph scale_g = stg::build_state_graph(net, scale_options);
     sg::check_implementability(scale_g);
     sg::compute_all_regions(scale_g, jobs);

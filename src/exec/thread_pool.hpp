@@ -113,19 +113,12 @@ void parallel_for_chunks(int n, int grain, const std::function<void(int, int)>& 
                          int jobs = 0);
 
 /// Grain for trial sweeps whose chunks carry heavy per-chunk state (a
-/// compiled simulator, a 64-lane TrialBatch): one chunk per worker,
+/// TrialRunner and its compiled-netlist arenas): one chunk per worker,
 /// capped at the physical thread count — the automatic grain's
-/// 4 chunks/worker rebuilds that state 4x and leaves the 64-lane batch
-/// engine running quarter-full groups, and chunks beyond the hardware
+/// 4 chunks/worker rebuilds that state 4x, and chunks beyond the hardware
 /// concurrency only fragment it further.  Chunk boundaries stay a
 /// scheduling detail (results merge by index).
-///
-/// `lanes` > 1 rounds the grain up to whole lane groups so a chunked
-/// sweep feeding a lane-batched engine (TrialBatch::kLanes) never splits
-/// full groups across chunks: ceil-division alone can hand every worker
-/// a 48-trial chunk and quietly run the 64-lane engine at 75% occupancy
-/// on each one.
-int batch_grain(int n, int jobs = 0, int lanes = 1);
+int batch_grain(int n, int jobs = 0);
 
 /// Map i -> fn(i) into a vector ordered by index.  T must be default
 /// constructible and movable.

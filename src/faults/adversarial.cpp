@@ -9,7 +9,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -71,29 +71,22 @@ Evaluation scored(ProbedRun run) {
   return eval;
 }
 
-/// One objective evaluation on the engine `options` selects: uncompiled
-/// reference kernels, the frozen pre-batch compiled driver (`reuse`), or
-/// the calendar-queue TrialRunner with a reused MarginProbe.
+/// One objective evaluation: the uncompiled reference kernels when
+/// `options` asks for them, else the TrialRunner with a reused MarginProbe.
 struct Engine {
   const sg::StateGraph& spec;
   const netlist::Netlist& circuit;
   const sim::SpecBinding& binding;
-  const sim::CompiledNetlist& compiled;
-  std::optional<sim::Simulator> reuse;
   std::optional<sim::TrialRunner> runner;
   std::optional<MarginProbe> probe;
 
   Engine(const sg::StateGraph& spec_, const netlist::Netlist& circuit_,
-         const sim::SpecBinding& binding_, const sim::CompiledNetlist& compiled_,
+         const sim::SpecBinding& binding_, const sim::CompiledNetlist& compiled,
          const AdversarialOptions& options)
-      : spec(spec_), circuit(circuit_), binding(binding_), compiled(compiled_) {
+      : spec(spec_), circuit(circuit_), binding(binding_) {
     if (options.reference_kernels) return;
-    if (options.reference_driver) {
-      reuse.emplace(compiled, sim::SimulatorOptions{});
-    } else {
-      runner.emplace(compiled);
-      probe.emplace(compiled.netlist(), compiled.lib());
-    }
+    runner.emplace(compiled);
+    probe.emplace(compiled.netlist(), compiled.lib());
   }
 
   Evaluation evaluate(const std::vector<double>& delays, std::uint64_t env_seed,
@@ -102,7 +95,6 @@ struct Engine {
     scenario.seed = env_seed;
     scenario.delays = delays;
     if (runner) return scored(run_probed(spec, binding, scenario, options, *runner, &*probe));
-    if (reuse) return scored(run_probed(spec, binding, compiled, scenario, options, &*reuse));
     return scored(run_probed(spec, circuit, scenario, options));
   }
 };

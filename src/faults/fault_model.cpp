@@ -4,7 +4,7 @@
 
 #include "netlist/transform.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 
@@ -89,15 +89,6 @@ sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::N
                                     const ScenarioOptions& options,
                                     sim::VcdRecorder* recorder) {
   return sim::run_closed_loop(spec, circuit, to_config(scenario, options), recorder);
-}
-
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                                    const sim::CompiledNetlist& compiled,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options, sim::VcdRecorder* recorder,
-                                    sim::Simulator* reuse) {
-  return sim::run_closed_loop(spec, binding, compiled, to_config(scenario, options), recorder,
-                              reuse);
 }
 
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,

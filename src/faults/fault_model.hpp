@@ -28,7 +28,7 @@
 
 namespace nshot::sim {
 class VcdRecorder;
-class TrialRunner;  // sim/trial_batch.hpp
+class TrialRunner;  // sim/trial_runner.hpp
 }
 
 namespace nshot::faults {
@@ -85,25 +85,15 @@ sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOpt
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options,
                                 std::vector<double> delays);
 
-/// Run one scenario of `circuit` against `spec`.
+/// Run one scenario of `circuit` against `spec` on the reference driver
+/// (sim::run_closed_loop).
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options,
                                     sim::VcdRecorder* recorder = nullptr);
 
-/// Hot-path variant over a pre-compiled netlist and pre-resolved binding;
-/// `reuse` (optional, built from `compiled`) is reset and reused for the
-/// run.  Byte-identical to the uncompiled overload.
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                                    const sim::CompiledNetlist& compiled,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options,
-                                    sim::VcdRecorder* recorder = nullptr,
-                                    sim::Simulator* reuse = nullptr);
-
-/// Batched-engine variant: the scenario runs on `runner`'s calendar-queue
-/// simulator (sim/trial_batch.hpp) against runner.compiled().
-/// Byte-identical to both overloads above.
+/// Production variant: the scenario runs on `runner` (sim/trial_runner.hpp)
+/// against runner.compiled().  Byte-identical to the overload above.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options, sim::TrialRunner& runner,

@@ -6,7 +6,7 @@
 
 #include "sim/delay_space.hpp"
 #include "sim/event_sim.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "util/error.hpp"
 
 namespace nshot::faults {
@@ -309,18 +309,6 @@ ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit
   ProbedRun run;
   run.report = sim::run_closed_loop(spec, circuit, config);
   collect_margins(probe, eq1_margins(circuit, lib, config.sim.explicit_delays), run);
-  return run;
-}
-
-ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                     const sim::CompiledNetlist& compiled, const FaultScenario& scenario,
-                     const ScenarioOptions& options, sim::Simulator* reuse) {
-  MarginProbe probe(compiled.netlist(), compiled.lib());
-  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
-
-  ProbedRun run;
-  run.report = sim::run_closed_loop(spec, binding, compiled, config, nullptr, reuse);
-  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
   return run;
 }
 

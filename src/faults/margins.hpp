@@ -30,7 +30,7 @@
 #include "sim/conformance.hpp"
 
 namespace nshot::sim {
-class TrialRunner;  // sim/trial_batch.hpp
+class TrialRunner;  // sim/trial_runner.hpp
 }
 
 namespace nshot::faults {
@@ -162,20 +162,14 @@ struct ProbedRun {
   double min_slack = kNoMargin;
 };
 
+/// One probed run on the reference driver (sim::run_closed_loop).
 ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                      const FaultScenario& scenario, const ScenarioOptions& options);
 
-/// Hot-path variant over a pre-compiled netlist and pre-resolved binding;
-/// `reuse` (optional, built from `compiled`) is reset and reused for the
-/// run.  Byte-identical to the uncompiled overload.
-ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                     const sim::CompiledNetlist& compiled, const FaultScenario& scenario,
-                     const ScenarioOptions& options, sim::Simulator* reuse = nullptr);
-
-/// Batched-engine variant: the scenario runs on `runner`'s calendar-queue
-/// simulator (sim/trial_batch.hpp) against runner.compiled().  `probe`
-/// (optional) is reset and reused instead of constructing a MarginProbe
-/// per run.  Byte-identical to both overloads above.
+/// Production variant: the scenario runs on `runner` (sim/trial_runner.hpp)
+/// against runner.compiled().  `probe` (optional) is reset and reused
+/// instead of constructing a MarginProbe per run.  Byte-identical to the
+/// overload above.
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe = nullptr);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/delay_space.hpp"
+#include "sim/trial_runner.hpp"
 #include "sim/vcd.hpp"
 
 namespace nshot::faults {
@@ -10,22 +11,22 @@ namespace nshot::faults {
 namespace {
 
 /// Delta debugging is a long serial chain of scenario replays against one
-/// circuit — compile once, reset one Simulator per replay.
+/// circuit — compile once, replay every scenario through one TrialRunner.
 struct Replayer {
   const sg::StateGraph& spec;
   const sim::SpecBinding binding;
   const sim::CompiledNetlist compiled;
-  sim::Simulator sim;
+  sim::TrialRunner runner;
 
   Replayer(const sg::StateGraph& spec_in, const netlist::Netlist& circuit)
       : spec(spec_in),
         binding(spec_in, circuit),
         compiled(circuit, gatelib::GateLibrary::standard()),
-        sim(compiled, sim::SimulatorOptions{}) {}
+        runner(compiled) {}
 
   bool fails(const FaultScenario& scenario, const MinimizeOptions& options, long& evaluations) {
     ++evaluations;
-    return !run_scenario(spec, binding, compiled, scenario, options.run, nullptr, &sim).clean();
+    return !run_scenario(spec, binding, scenario, options.run, runner).clean();
   }
 };
 
@@ -93,8 +94,7 @@ MinimizedWitness minimize_counterexample(const sg::StateGraph& spec,
   // Final replay with the waveform attached.
   sim::VcdRecorder recorder(circuit);
   witness.report =
-      run_scenario(spec, replay.binding, replay.compiled, current, options.run, &recorder,
-                   &replay.sim);
+      run_scenario(spec, replay.binding, current, options.run, replay.runner, &recorder);
   witness.vcd = recorder.write();
   witness.scenario = std::move(current);
   return witness;

@@ -6,7 +6,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -68,29 +68,20 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
         options.margin_runs,
         options.grain > 0 ? options.grain : exec::batch_grain(options.margin_runs, options.jobs),
         [&](int begin, int end) {
-          // Engine three-way: uncompiled reference kernels, the frozen
-          // pre-batch compiled driver, or (default) the calendar-queue
+          // The uncompiled reference kernels, or (default) the chunk's
           // TrialRunner with a chunk-reused MarginProbe.
-          std::optional<sim::Simulator> reuse;
           std::optional<sim::TrialRunner> runner;
           std::optional<MarginProbe> probe;
           if (!options.reference_kernels) {
-            if (options.reference_driver) {
-              reuse.emplace(compiled, sim::SimulatorOptions{});
-            } else {
-              runner.emplace(compiled);
-              probe.emplace(circuit, lib);
-            }
+            runner.emplace(compiled);
+            probe.emplace(circuit, lib);
           }
           for (int r = begin; r < end; ++r) {
             FaultScenario scenario;
             scenario.seed = run_seed(options.seed, r);
             probed[static_cast<std::size_t>(r)] =
-                options.reference_kernels
-                    ? run_probed(spec, circuit, scenario, options.run)
-                : options.reference_driver
-                    ? run_probed(spec, binding, compiled, scenario, options.run, &*reuse)
-                    : run_probed(spec, binding, scenario, options.run, *runner, &*probe);
+                runner ? run_probed(spec, binding, scenario, options.run, *runner, &*probe)
+                       : run_probed(spec, circuit, scenario, options.run);
           }
         },
         options.jobs);
@@ -175,14 +166,8 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             ? options.grain
             : exec::batch_grain(static_cast<int>(battery.size()), options.jobs),
         [&](int begin, int end) {
-          std::optional<sim::Simulator> reuse;
           std::optional<sim::TrialRunner> runner;
-          if (!options.reference_kernels) {
-            if (options.reference_driver)
-              reuse.emplace(compiled, sim::SimulatorOptions{});
-            else
-              runner.emplace(compiled);
-          }
+          if (!options.reference_kernels) runner.emplace(compiled);
           for (int j = begin; j < end; ++j) {
             const BatteryEntry& entry = battery[static_cast<std::size_t>(j)];
             FaultOutcome outcome;
@@ -193,12 +178,8 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             scenario.seed = options.seed;
             scenario.faults.push_back(entry.fault);
             const sim::ConformanceReport run =
-                options.reference_kernels
-                    ? run_scenario(spec, circuit, scenario, options.run)
-                : options.reference_driver
-                    ? run_scenario(spec, binding, compiled, scenario, options.run, nullptr,
-                                   &*reuse)
-                    : run_scenario(spec, binding, scenario, options.run, *runner);
+                runner ? run_scenario(spec, binding, scenario, options.run, *runner)
+                       : run_scenario(spec, circuit, scenario, options.run);
             outcome.survived = run.clean();
             if (!run.violations.empty())
               outcome.violation =
@@ -220,7 +201,6 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
   if (options.adversarial.restarts > 0) {
     AdversarialOptions adversarial = options.adversarial;
     adversarial.reference_kernels |= options.reference_kernels;
-    adversarial.reference_driver |= options.reference_driver;
     report.adversarial = adversarial_delay_search(spec, circuit, adversarial);
     report.adversarial_ran = true;
   }

@@ -34,12 +34,9 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"kernel_mismatches", true},
     {"kernel_fallbacks", true},
     {"faults_injected", true},
-    {"batch_trials", true},
     {"adversarial_evaluations", false},
     {"memo_hits", false},
     {"memo_misses", false},
-    {"batch_peels", false},
-    {"batch_lockstep_shared", false},
     {"calendar_resizes", false},
     {"serve_admitted", false},
     {"serve_rejected", false},

@@ -54,14 +54,10 @@ enum class Counter : int {
   kKernelMismatches,         // verify_kernels divergences detected
   kKernelFallbacks,          // stages degraded to reference kernels
   kFaultsInjected,           // fault-battery entries evaluated
-  kBatchTrials,              // trials routed through the batched trial engine
   kAdversarialEvaluations,   // hill-climb objective evaluations (nondet:
                              // parallel restarts run past the serial early exit)
   kMemoHits,                 // MemoCache hits (nondet: races both-compute)
   kMemoMisses,               // MemoCache misses
-  kBatchPeels,               // batch lanes peeled off to scalar execution
-                             // (nondet: lane grouping follows chunk bounds)
-  kBatchLockstepShared,      // batch lanes that shared a leader's execution
   kCalendarResizes,          // calendar-queue re-bucketing passes (nondet:
                              // fires inside adversarial evaluations too)
   kServeAdmitted,            // serve requests admitted to the fair-share

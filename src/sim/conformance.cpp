@@ -9,7 +9,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -226,6 +226,19 @@ void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator&
   report.simulated_time += sim.now();
 }
 
+/// The reference trial: compile + construct a heap-queue Simulator for
+/// this one run (the per-trial cost model TrialRunner is measured against).
+ConformanceReport reference_trial(const sg::StateGraph& spec, const SpecBinding& binding,
+                                  const netlist::Netlist& circuit,
+                                  const gatelib::GateLibrary& lib, const ClosedLoopConfig& config,
+                                  VcdRecorder* recorder = nullptr) {
+  Simulator sim(circuit, lib, config.sim);
+  ConformanceReport report;
+  report.runs = 1;
+  run_once(spec, binding, sim, config, report, recorder);
+  return report;
+}
+
 /// First differing fingerprint field between two single-trial reports, or
 /// nullptr when they agree.  Everything a trial computes funnels into
 /// these fields, so agreement here is agreement on the trial.
@@ -264,25 +277,9 @@ bool kernel_fault_injection() {
 
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config, VcdRecorder* recorder) {
-  const CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
   const SpecBinding binding(spec, circuit);
-  return run_closed_loop(spec, binding, compiled, config, recorder);
-}
-
-ConformanceReport run_closed_loop(const sg::StateGraph& spec, const SpecBinding& binding,
-                                  const CompiledNetlist& compiled,
-                                  const ClosedLoopConfig& config, VcdRecorder* recorder,
-                                  Simulator* reuse) {
-  ConformanceReport report;
-  report.runs = 1;
-  if (reuse) {
-    reuse->reset(config.sim);
-    run_once(spec, binding, *reuse, config, report, recorder);
-  } else {
-    Simulator sim(compiled, config.sim);
-    run_once(spec, binding, sim, config, report, recorder);
-  }
-  return report;
+  return reference_trial(spec, binding, circuit, gatelib::GateLibrary::standard(), config,
+                         recorder);
 }
 
 /// Fold one trial's report into the sweep total.  Trials are merged in run
@@ -309,7 +306,7 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
   // Every trial is a pure function of run_seed(options.seed, r), so the
   // sweep is an order-independent bag of work; only the merge is ordered.
   // Chunking lets each scheduled task run many sub-millisecond trials
-  // through one resettable Simulator.
+  // through one TrialRunner.
   const obs::Span conf_span("conformance");
   const SpecBinding binding(spec, compiled.netlist());
   auto trial_config = [&](int r) {
@@ -325,62 +322,29 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
     return config;
   };
   std::vector<ConformanceReport> trials(static_cast<std::size_t>(std::max(options.runs, 0)));
-  // The default engine groups trials 64 to a plane settle, so the grain
-  // must be a whole number of lane groups — otherwise every chunk runs
-  // partially-filled groups (the reference engines are per-trial and take
-  // the plain grain).
-  const bool lane_batched = !options.reference_kernels && !options.reference_driver;
   exec::parallel_for_chunks(
       options.runs,
-      options.grain > 0 ? options.grain
-                        : exec::batch_grain(options.runs, options.jobs,
-                                            lane_batched ? TrialBatch::kLanes : 1),
+      options.grain > 0 ? options.grain : exec::batch_grain(options.runs, options.jobs),
       [&](int begin, int end) {
         // Chunk boundaries are a scheduling detail (they move with jobs /
         // grain), so the span is task-scoped: dropped from deterministic
         // exports, kept in wall-clock traces.
         const obs::Span chunk_span = obs::Span::task("trials", begin);
         obs::count(obs::Counter::kTrialsRun, end - begin);
-        const bool verify = options.verify_kernels && !options.reference_kernels;
-        if (!options.reference_kernels && !options.reference_driver) {
-          // Default engine: the chunk's trials run through the batched
-          // calendar-queue engine, 64 lanes per group.
-          TrialBatch batch(compiled);
-          std::vector<ClosedLoopConfig> configs;
-          for (int r = begin; r < end; r += TrialBatch::kLanes) {
-            const int m = std::min(TrialBatch::kLanes, end - r);
-            configs.clear();
-            for (int i = 0; i < m; ++i) configs.push_back(trial_config(r + i));
-            batch.run(spec, binding, configs.data(), m, &trials[static_cast<std::size_t>(r)]);
-          }
-          if (!verify) return;
-        }
-        std::optional<Simulator> sim;  // one per chunk, reset per trial
+        std::optional<TrialRunner> runner;  // one per chunk, reused per trial
+        if (!options.reference_kernels) runner.emplace(compiled);
         for (int r = begin; r < end; ++r) {
           const ClosedLoopConfig config = trial_config(r);
-          ConformanceReport trial;
-          trial.runs = 1;
-          if (options.reference_kernels) {
-            // Old cost model: compile + construct per trial.
-            Simulator fresh(compiled.netlist(), compiled.lib(), config.sim);
-            run_once(spec, binding, fresh, config, trial);
-          } else if (options.reference_driver) {
-            // Frozen PR-3 driver: reused compiled simulator, heap queue.
-            if (!sim)
-              sim.emplace(compiled, config.sim);
-            else
-              sim->reset(config.sim);
-            run_once(spec, binding, *sim, config, trial);
-          } else {
-            // Batched trial computed above; verify it against the oracle.
-            trial = std::move(trials[static_cast<std::size_t>(r)]);
+          if (!runner) {
+            trials[static_cast<std::size_t>(r)] =
+                reference_trial(spec, binding, compiled.netlist(), compiled.lib(), config);
+            continue;
           }
-          if (verify) {
+          ConformanceReport trial = runner->run(spec, binding, config);
+          if (options.verify_kernels) {
             if (testing::kernel_fault_injection()) ++trial.internal_toggles;
-            ConformanceReport oracle;
-            oracle.runs = 1;
-            Simulator reference(compiled.netlist(), compiled.lib(), config.sim);
-            run_once(spec, binding, reference, config, oracle);
+            const ConformanceReport oracle =
+                reference_trial(spec, binding, compiled.netlist(), compiled.lib(), config);
             if (const char* field = trial_mismatch_field(trial, oracle)) {
               obs::count(obs::Counter::kKernelMismatches);
               throw Error(ErrorCode::kKernelMismatch,

@@ -114,7 +114,7 @@ ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const ConformanceOptions& options = {});
 
 /// Sweep against a pre-compiled netlist: the spec binding is resolved once
-/// and trials run chunked, one resettable Simulator per chunk.
+/// and trials run chunked, one TrialRunner per chunk.
 ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const CompiledNetlist& compiled,
                                     const ConformanceOptions& options = {});
@@ -192,21 +192,12 @@ struct ClosedLoopConfig {
 /// Run ONE closed-loop simulation of `circuit` against `spec` under the
 /// given configuration; returns a single-run report (runs == 1).  When
 /// `recorder` is non-null every net change is also captured for VCD
-/// export.  This is the primitive under `check_conformance`,
-/// `record_vcd_trace` and the src/faults harness.
+/// export.  This is the reference driver: it compiles the circuit and
+/// constructs a heap-queue Simulator per call.  The production engine,
+/// sim::TrialRunner (sim/trial_runner.hpp), is byte-identical to it.
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config,
                                   VcdRecorder* recorder = nullptr);
-
-/// Hot-path variant over a pre-compiled netlist and pre-resolved binding.
-/// When `reuse` is non-null it is reset() under config.sim and used for
-/// the run (it must have been built from `compiled`); otherwise a local
-/// Simulator is constructed.  Behaviour is byte-identical either way.
-ConformanceReport run_closed_loop(const sg::StateGraph& spec, const SpecBinding& binding,
-                                  const CompiledNetlist& compiled,
-                                  const ClosedLoopConfig& config,
-                                  VcdRecorder* recorder = nullptr,
-                                  Simulator* reuse = nullptr);
 
 /// Run one closed-loop simulation and return its full waveform as VCD
 /// text (see sim/vcd.hpp) together with the conformance outcome.

@@ -108,11 +108,11 @@ class Simulator {
   void initialize(const std::vector<std::pair<netlist::NetId, bool>>& fixed_values);
 
   /// initialize() with the combinational settle already done: `settled`
-  /// holds one byte per net, exactly what initialize() would have computed
-  /// from the fixed values (the batched engine settles 64 trials at once
-  /// in sim::BatchPlanes and hands each lane's plane slice here).  Runs
-  /// the same storage-arming pass as initialize(), so the event sequence —
-  /// seq numbers included — is identical.
+  /// holds one byte per net, exactly what initialize() computed from the
+  /// same fixed values (TrialRunner caches net_values() after one
+  /// initialize() and replays it here).  Runs the same storage-arming pass
+  /// as initialize(), so the event sequence — seq numbers included — is
+  /// identical.
   void initialize_from_settled(const std::vector<std::uint8_t>& settled);
 
   /// Schedule an external change of a primary input.
@@ -149,7 +149,7 @@ class Simulator {
   /// times are recoverable as now() because at most one commit happens per
   /// step (evaluate_gate only schedules) and forces drain immediately.
   /// This replaces a std::function call per commit with a push_back; the
-  /// batched trial driver lives on it.  Cleared by reset().
+  /// TrialRunner's injection driver lives on it.  Cleared by reset().
   void set_commit_log(std::vector<Commit>* log) { commit_log_ = log; }
 
   /// Process the next event; returns false when the queue is empty.
@@ -169,7 +169,7 @@ class Simulator {
     bool value = false;
   };
 
-  /// The fused hot loop of the batched trial driver: process events
+  /// The fused hot loop of TrialRunner's driver: process events
   /// back-to-back — pop, commit, fanout evaluation inline — until an
   /// observable net commits (net_signal[net] >= 0), the queue drains, the
   /// event budget trips, now() reaches `time_limit`, or the next pending
@@ -198,6 +198,9 @@ class Simulator {
   bool value(netlist::NetId net) const {
     return values_[static_cast<std::size_t>(net)] != 0;
   }
+  /// Every net's committed value, one byte per net.  Right after
+  /// initialize() this is the settled initial state.
+  const std::vector<std::uint8_t>& net_values() const { return values_; }
   /// Number of committed value changes of a net since initialization.
   long toggle_count(netlist::NetId net) const {
     return toggles_[static_cast<std::size_t>(net)];

@@ -1,16 +1,12 @@
 #include "stg/reachability.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <deque>
-#include <exception>
 #include <map>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "exec/cancel.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -266,33 +262,6 @@ std::vector<TransitionId> dead_transitions_impl(const Stg& stg,
   return dead;
 }
 
-// Shared diagnostics of the state-graph build.  Both the serial BFS and
-// the sharded level-synchronous BFS raise through these helpers, so the
-// thrown errors are byte-identical (including the reported throw site)
-// whichever path found the violation first.
-void require_state_cap(const Stg& stg, std::size_t states, std::size_t max_states) {
-  NSHOT_REQUIRE_CODE(states <= max_states, ErrorCode::kResourceExhausted,
-                     "STG " + stg.name() + " exceeds the reachability state cap");
-}
-
-void require_consistent_firing(const Stg& stg, std::uint64_t code, TransitionId t) {
-  const StgTransition& tr = stg.transition(t);
-  NSHOT_REQUIRE(((code & (1ULL << tr.signal)) != 0) != tr.rising,
-                "STG " + stg.name() + " is inconsistent: " + stg.transition_name(t) +
-                    " fires when " + stg.signal(tr.signal).name + " is already " +
-                    (tr.rising ? "1" : "0"));
-}
-
-void require_single_code(const Stg& stg, bool same_code) {
-  NSHOT_REQUIRE(same_code, "STG " + stg.name() +
-                               " is inconsistent: one marking is reached with two different codes");
-}
-
-void require_deterministic(const Stg& stg, bool same_successor, TransitionId t) {
-  NSHOT_REQUIRE(same_successor, "STG " + stg.name() + " maps label " + stg.transition_name(t) +
-                                    " to two successors of one state (not SG-deterministic)");
-}
-
 template <template <typename> class MapT, typename Firing>
 sg::StateGraph build_state_graph_impl(const Stg& stg, const ReachabilityOptions& options) {
   const obs::Span reach_span("reachability");
@@ -330,299 +299,35 @@ sg::StateGraph build_state_graph_impl(const Stg& stg, const ReachabilityOptions&
       const StgTransition& tr = stg.transition(t);
       if (tr.is_dummy()) continue;  // eliminated by eager saturation below
       const std::uint64_t bit = 1ULL << tr.signal;
-      require_consistent_firing(stg, code, t);
+      NSHOT_REQUIRE(((code & bit) != 0) != tr.rising,
+                    "STG " + stg.name() + " is inconsistent: " + stg.transition_name(t) +
+                        " fires when " + stg.signal(tr.signal).name + " is already " +
+                        (tr.rising ? "1" : "0"));
       const std::uint64_t next_code = tr.rising ? (code | bit) : (code & ~bit);
 
       Marking next = saturate_dummies<MapT>(stg, firing, firing.fire(stg, m, t));
       const auto [it, inserted] = ids.emplace(std::move(next), -1);
       if (inserted) {
-        require_state_cap(stg, ids.size(), options.max_states);
+        NSHOT_REQUIRE_CODE(ids.size() <= options.max_states, ErrorCode::kResourceExhausted,
+                           "STG " + stg.name() + " exceeds the reachability state cap");
         it->second = graph.add_state(next_code);
         queue.push_back(it->first);
       } else {
-        require_single_code(stg, graph.code(it->second) == next_code);
+        NSHOT_REQUIRE(graph.code(it->second) == next_code,
+                      "STG " + stg.name() +
+                          " is inconsistent: one marking is reached with two different codes");
       }
 
       const sg::TransitionLabel label{tr.signal, tr.rising};
       const auto existing = graph.successor(from, label);
       if (existing) {
-        require_deterministic(stg, *existing == it->second, t);
+        NSHOT_REQUIRE(*existing == it->second,
+                      "STG " + stg.name() + " maps label " + stg.transition_name(t) +
+                          " to two successors of one state (not SG-deterministic)");
       } else {
         graph.add_edge(from, label, it->second);
       }
     }
-  }
-  obs::count(obs::Counter::kStatesVisited, graph.num_states());
-  return graph;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded level-synchronous BFS (ReachabilityOptions::jobs > 1).
-//
-// The serial hot path above interleaves expansion with insertion, which a
-// thread pool cannot reproduce without locking the visited map.  The
-// sharded build instead processes the BFS one level at a time:
-//
-//   Phase A  every frontier marking expands in parallel (enabledness,
-//            consistency check, mask firing, dummy saturation, marking
-//            hash); a diagnostic raised mid-expansion is captured as an
-//            exception_ptr at its exact (parent, transition) position.
-//   Phase B  candidates are numbered parent-major / transition-minor —
-//            exactly the serial visit order — and bucketed by
-//            hash & (shards-1); each shard dedups its own bucket in seq
-//            order against a private open-addressing table whose markings
-//            live in append-only arena pages (stable pointers, no
-//            rehash-time copies of marking words).  Each candidate's
-//            table entry lands at its own resolution[seq] slot, so the
-//            merge is by-index and worker-order independent.
-//   Phase C  a serial replay walks the candidates in seq order, assigns
-//            StateIds to first occurrences (BFS discovery order), checks
-//            the state cap / code consistency / determinism requirements
-//            and adds edges — then rethrows any Phase A error at the
-//            position the serial loop would have thrown it.
-//
-// Duplicate markings always hash to the same shard, so cross-shard id
-// collisions are impossible, and the replay order makes the resulting
-// graph — and any thrown diagnostic — byte-identical to the serial hot
-// path at every jobs and shard count.
-// ---------------------------------------------------------------------------
-
-constexpr sg::StateId kUnassignedState = -1;
-constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-
-/// Append-only page store for fixed-width packed markings.  Pages never
-/// move once allocated, so `at()` pointers stay valid for the lifetime of
-/// the arena — the frontier and the shard tables both point straight into
-/// the pages instead of copying markings around.
-class MarkingArena {
- public:
-  explicit MarkingArena(std::size_t words) : words_(words) {}
-
-  std::uint32_t append(const Marking& m) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(size_++);
-    if (idx % kMarkingsPerPage == 0)
-      pages_.push_back(std::make_unique<std::uint64_t[]>(
-          std::max<std::size_t>(kMarkingsPerPage * words_, 1)));
-    std::uint64_t* slot = pages_.back().get() + (idx % kMarkingsPerPage) * words_;
-    std::copy(m.begin(), m.end(), slot);
-    return idx;
-  }
-
-  const std::uint64_t* at(std::uint32_t idx) const {
-    return pages_[idx / kMarkingsPerPage].get() + (idx % kMarkingsPerPage) * words_;
-  }
-
- private:
-  static constexpr std::size_t kMarkingsPerPage = 4096;
-
-  std::size_t words_;
-  std::size_t size_ = 0;
-  std::vector<std::unique_ptr<std::uint64_t[]>> pages_;
-};
-
-struct ShardEntry {
-  std::uint64_t hash = 0;
-  std::uint32_t arena_idx = 0;
-  sg::StateId id = kUnassignedState;
-};
-
-/// One shard of the visited set: an open-addressing hash table whose
-/// entries reference markings stored in the shard's arena.  Entry indices
-/// are append-only and survive rehashing, so Phase B can hand them to the
-/// serial replay as stable handles.
-class VisitedShard {
- public:
-  explicit VisitedShard(std::size_t words) : arena_(words), words_(words) {}
-
-  /// Entry index for marking `m` (precomputed hash `h`), inserting a new
-  /// unassigned entry — and appending `m` to the arena — when absent.
-  std::uint32_t find_or_insert(std::uint64_t h, const Marking& m) {
-    if (entries_.size() * 10 >= slots_.size() * 7) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (slots_[i] != kEmptySlot) {
-      const ShardEntry& e = entries_[slots_[i]];
-      if (e.hash == h && std::equal(m.begin(), m.end(), arena_.at(e.arena_idx)))
-        return slots_[i];
-      i = (i + 1) & mask;
-    }
-    const std::uint32_t entry = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back({h, arena_.append(m), kUnassignedState});
-    slots_[i] = entry;
-    return entry;
-  }
-
-  ShardEntry& entry(std::uint32_t idx) { return entries_[idx]; }
-  const std::uint64_t* marking(std::uint32_t entry_idx) const {
-    return arena_.at(entries_[entry_idx].arena_idx);
-  }
-
- private:
-  void grow() {
-    const std::size_t cap = slots_.empty() ? 1024 : slots_.size() * 2;
-    slots_.assign(cap, kEmptySlot);
-    const std::size_t mask = cap - 1;
-    for (std::uint32_t e = 0; e < entries_.size(); ++e) {
-      std::size_t i = static_cast<std::size_t>(entries_[e].hash) & mask;
-      while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
-      slots_[i] = e;
-    }
-  }
-
-  MarkingArena arena_;
-  std::size_t words_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<ShardEntry> entries_;
-};
-
-struct FrontierEntry {
-  const std::uint64_t* words = nullptr;  // into a shard arena page
-  sg::StateId id = kUnassignedState;
-};
-
-struct Candidate {
-  Marking next;
-  std::uint64_t next_code = 0;
-  std::uint64_t hash = 0;
-  TransitionId t = -1;
-};
-
-struct ParentExpansion {
-  std::vector<Candidate> candidates;  // transitions in t order up to `error`
-  std::exception_ptr error;           // diagnostic raised mid-expansion, if any
-};
-
-struct Resolution {
-  std::uint32_t shard = 0;
-  std::uint32_t entry = 0;
-};
-
-sg::StateGraph build_state_graph_sharded(const Stg& stg, const ReachabilityOptions& options,
-                                         int workers) {
-  const obs::Span reach_span("reachability");
-  const MaskFiring firing(stg);
-  const std::vector<bool> initial_values =
-      infer_initial_values_impl<HashedMarkingMap, MaskFiring>(stg, options);
-
-  sg::StateGraph graph(stg.name());
-  for (int i = 0; i < stg.num_signals(); ++i) {
-    const SignalKind kind = stg.signal(i).kind;
-    graph.add_signal(stg.signal(i).name, kind == SignalKind::kInput
-                                             ? sg::SignalKind::kInput
-                                             : sg::SignalKind::kNonInput);
-  }
-
-  std::uint64_t initial_code = 0;
-  for (std::size_t i = 0; i < initial_values.size(); ++i)
-    if (initial_values[i]) initial_code |= (1ULL << i);
-
-  const std::size_t words = (static_cast<std::size_t>(stg.num_places()) + 63) / 64;
-  // The shard count only partitions the internal tables — the output is
-  // invariant to it — so any power of two near the worker count works.
-  const std::size_t num_shards =
-      std::bit_ceil(static_cast<std::size_t>(std::clamp(workers, 1, 64)));
-  const std::uint64_t shard_mask = num_shards - 1;
-  std::vector<VisitedShard> shards;
-  shards.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) shards.emplace_back(words);
-
-  const Marking initial =
-      saturate_dummies<HashedMarkingMap>(stg, firing, pack(stg.initial_marking()));
-  const std::uint64_t initial_hash = MarkingHash{}(initial);
-  const std::uint32_t initial_shard = static_cast<std::uint32_t>(initial_hash & shard_mask);
-  const std::uint32_t initial_entry = shards[initial_shard].find_or_insert(initial_hash, initial);
-  shards[initial_shard].entry(initial_entry).id = graph.add_state(initial_code);
-  graph.set_initial(0);
-
-  std::vector<FrontierEntry> frontier{{shards[initial_shard].marking(initial_entry), 0}};
-  std::vector<FrontierEntry> next_frontier;
-  std::vector<Resolution> resolution;
-  std::vector<std::vector<std::pair<std::uint32_t, const Candidate*>>> by_shard(num_shards);
-
-  while (!frontier.empty()) {
-    // Phase A: expand the whole frontier in parallel, merged by index.
-    std::vector<ParentExpansion> expansions = exec::parallel_map<ParentExpansion>(
-        static_cast<int>(frontier.size()),
-        [&](int pi) {
-          ParentExpansion out;
-          const FrontierEntry& fe = frontier[static_cast<std::size_t>(pi)];
-          const Marking m(fe.words, fe.words + words);
-          const std::uint64_t code = graph.code(fe.id);
-          try {
-            for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-              if (!firing.enabled(stg, m, t)) continue;
-              const StgTransition& tr = stg.transition(t);
-              if (tr.is_dummy()) continue;  // eliminated by eager saturation
-              const std::uint64_t bit = 1ULL << tr.signal;
-              require_consistent_firing(stg, code, t);
-              const std::uint64_t next_code = tr.rising ? (code | bit) : (code & ~bit);
-              Marking next =
-                  saturate_dummies<HashedMarkingMap>(stg, firing, firing.fire(stg, m, t));
-              const std::uint64_t h = MarkingHash{}(next);
-              out.candidates.push_back({std::move(next), next_code, h, t});
-            }
-          } catch (...) {
-            // Replayed at the exact serial throw position in Phase C.
-            out.error = std::current_exception();
-          }
-          return out;
-        },
-        workers, /*grain=*/0);
-
-    // Number the candidates in serial visit order and bucket by shard.
-    std::size_t total = 0;
-    for (const ParentExpansion& e : expansions) total += e.candidates.size();
-    resolution.resize(total);
-    for (auto& bucket : by_shard) bucket.clear();
-    {
-      std::uint32_t seq = 0;
-      for (const ParentExpansion& e : expansions)
-        for (const Candidate& c : e.candidates)
-          by_shard[static_cast<std::size_t>(c.hash & shard_mask)].emplace_back(seq++, &c);
-    }
-
-    // Phase B: per-shard dedup; resolution slots are disjoint by seq.
-    exec::parallel_for(
-        static_cast<int>(num_shards),
-        [&](int si) {
-          VisitedShard& shard = shards[static_cast<std::size_t>(si)];
-          for (const auto& [seq, cand] : by_shard[static_cast<std::size_t>(si)])
-            resolution[seq] = {static_cast<std::uint32_t>(si),
-                               shard.find_or_insert(cand->hash, cand->next)};
-        },
-        workers, /*grain=*/1);
-
-    // Phase C: serial replay in seq order — ids, edges and diagnostics in
-    // exactly the order the serial BFS produces them.
-    next_frontier.clear();
-    std::uint32_t seq = 0;
-    for (std::size_t pi = 0; pi < frontier.size(); ++pi) {
-      exec::checkpoint();
-      const sg::StateId from = frontier[pi].id;
-      const ParentExpansion& expansion = expansions[pi];
-      for (const Candidate& c : expansion.candidates) {
-        const Resolution r = resolution[seq++];
-        ShardEntry& entry = shards[r.shard].entry(r.entry);
-        if (entry.id == kUnassignedState) {
-          require_state_cap(stg, static_cast<std::size_t>(graph.num_states()) + 1,
-                            options.max_states);
-          entry.id = graph.add_state(c.next_code);
-          next_frontier.push_back({shards[r.shard].marking(r.entry), entry.id});
-        } else {
-          require_single_code(stg, graph.code(entry.id) == c.next_code);
-        }
-        const StgTransition& tr = stg.transition(c.t);
-        const sg::TransitionLabel label{tr.signal, tr.rising};
-        const auto existing = graph.successor(from, label);
-        if (existing) {
-          require_deterministic(stg, *existing == entry.id, c.t);
-        } else {
-          graph.add_edge(from, label, entry.id);
-        }
-      }
-      if (expansion.error) std::rethrow_exception(expansion.error);
-    }
-    frontier.swap(next_frontier);
   }
   obs::count(obs::Counter::kStatesVisited, graph.num_states());
   return graph;
@@ -643,11 +348,9 @@ std::vector<TransitionId> dead_transitions(const Stg& stg, const ReachabilityOpt
 }
 
 sg::StateGraph build_state_graph(const Stg& stg, const ReachabilityOptions& options) {
-  if (options.reference_maps)
-    return build_state_graph_impl<OrderedMarkingMap, LoopFiring>(stg, options);
-  const int workers = options.jobs == 1 ? 1 : exec::resolve_jobs(options.jobs);
-  if (workers > 1) return build_state_graph_sharded(stg, options, workers);
-  return build_state_graph_impl<HashedMarkingMap, MaskFiring>(stg, options);
+  return options.reference_maps
+             ? build_state_graph_impl<OrderedMarkingMap, LoopFiring>(stg, options)
+             : build_state_graph_impl<HashedMarkingMap, MaskFiring>(stg, options);
 }
 
 }  // namespace nshot::stg

@@ -30,16 +30,6 @@ struct ReachabilityOptions {
   /// 1-safety violations for identical diagnostics, so both paths build
   /// identical graphs and throw identical errors.
   bool reference_maps = false;
-  /// Worker count for build_state_graph (1 = the serial hot path;
-  /// ignored when reference_maps is set).  jobs > 1 runs a
-  /// level-synchronous BFS whose visited set is sharded by marking hash:
-  /// frontier markings expand in parallel, each shard dedups its own
-  /// candidates against an open-addressing table backed by arena pages,
-  /// and a serial replay in candidate order assigns StateIds, edges and
-  /// every diagnostic in exactly the serial BFS order — the resulting
-  /// graph (and any thrown error) is byte-identical at every jobs value.
-  /// infer_initial_values and dead_transitions always run serially.
-  int jobs = 1;
 };
 
 /// Infer the initial signal values (declared values win; otherwise first

@@ -1,5 +1,6 @@
 // The execution engine itself: parallel_for index coverage, exception
 // propagation, parallel_reduce determinism, and the memo cache.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -102,34 +103,31 @@ TEST(ParallelReduceTest, MatchesSerialLeftFold) {
   }
 }
 
-TEST(BatchGrainTest, LaneRoundingKeepsGroupsWhole) {
-  // jobs=1 pins workers to 1, so the unrounded grain is exactly n and the
-  // lane-rounded grain is n lifted to the next multiple of `lanes`.
+TEST(BatchGrainTest, OneChunkPerWorker) {
+  // jobs=1 pins workers to 1, so the grain is the whole sweep.
   EXPECT_EQ(batch_grain(96, 1), 96);
-  EXPECT_EQ(batch_grain(96, 1, 64), 128);
-  EXPECT_EQ(batch_grain(64, 1, 64), 64);
-  EXPECT_EQ(batch_grain(1, 8, 64), 1);   // n <= 1 short-circuits
-  EXPECT_EQ(batch_grain(0, 8, 64), 1);
-  // Whatever the host's worker count, a lane-rounded grain is always a
-  // whole number of groups.
+  EXPECT_EQ(batch_grain(1, 8), 1);  // n <= 1 short-circuits
+  EXPECT_EQ(batch_grain(0, 8), 1);
+  // Whatever the host's worker count, at most one chunk per hardware
+  // thread: grain * workers covers the sweep.
+  const int workers = hardware_jobs();
   for (const int n : {2, 63, 64, 65, 96, 500, 4096}) {
     for (const int jobs : {0, 1, 2, 8}) {
-      EXPECT_EQ(batch_grain(n, jobs, 64) % 64, 0) << "n=" << n << " jobs=" << jobs;
-      EXPECT_GE(batch_grain(n, jobs, 64), batch_grain(n, jobs)) << "n=" << n << " jobs=" << jobs;
+      const int grain = batch_grain(n, jobs);
+      EXPECT_GE(grain, 1) << "n=" << n << " jobs=" << jobs;
+      EXPECT_LE(grain, n) << "n=" << n << " jobs=" << jobs;
+      EXPECT_GE(static_cast<long>(grain) * workers, n) << "n=" << n << " jobs=" << jobs;
     }
   }
 }
 
-TEST(BatchGrainTest, ChunksCarryFullLaneGroups) {
-  // The sweep shape check_conformance relies on: with a lane-rounded
-  // grain, every chunk parallel_for_chunks produces starts on a group
-  // boundary, so only the final partial group of the whole sweep (the
-  // tail of n itself) runs under-filled — a 64-lane TrialBatch inside any
-  // chunk always forms full groups otherwise.
-  constexpr int kLanes = 64;
+TEST(BatchGrainTest, ChunksCoverTheSweepOnce) {
+  // The sweep shape check_conformance relies on: the chunks
+  // parallel_for_chunks cuts at batch_grain are disjoint, at most `grain`
+  // long, and together cover [0, n) exactly.
   for (const int n : {96, 129, 640}) {
     for (const int jobs : {0, 2, 5}) {
-      const int grain = batch_grain(n, jobs, kLanes);
+      const int grain = batch_grain(n, jobs);
       std::mutex mu;
       std::vector<std::pair<int, int>> chunks;
       parallel_for_chunks(
@@ -139,11 +137,12 @@ TEST(BatchGrainTest, ChunksCarryFullLaneGroups) {
             chunks.emplace_back(begin, end);
           },
           jobs);
+      std::sort(chunks.begin(), chunks.end());
       int covered = 0;
       for (const auto& [begin, end] : chunks) {
-        EXPECT_EQ(begin % kLanes, 0) << "n=" << n << " jobs=" << jobs;
-        if (end != n) EXPECT_EQ(end % kLanes, 0) << "n=" << n << " jobs=" << jobs;
-        covered += end - begin;
+        EXPECT_EQ(begin, covered) << "n=" << n << " jobs=" << jobs;
+        EXPECT_LE(end - begin, grain) << "n=" << n << " jobs=" << jobs;
+        covered = end;
       }
       EXPECT_EQ(covered, n) << "n=" << n << " jobs=" << jobs;
     }

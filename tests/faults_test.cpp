@@ -14,6 +14,7 @@
 #include "nshot/synthesis.hpp"
 #include "obs/obs.hpp"
 #include "sim/conformance.hpp"
+#include "sim/vcd.hpp"
 
 namespace nshot {
 namespace {
@@ -245,6 +246,70 @@ TEST(MinimizeTest, ShrinksMultiFaultFailureToSingleFaultWitness) {
   const std::string json = faults::witness_json(witness, s.circuit);
   EXPECT_NE(json.find("\"stuck-at\""), std::string::npos);
   EXPECT_NE(json.find("\"reproduced\":true"), std::string::npos);
+}
+
+/// The minimizer replays on the production TrialRunner; its witness must
+/// be exactly what the reference driver (a fresh compile and heap-queue
+/// Simulator) produces for witness.scenario — same verdict, same report
+/// fingerprint, same VCD bytes.
+void expect_witness_matches_reference_replay(const Synthesized& s, const netlist::Netlist& circuit,
+                                             const faults::MinimizedWitness& witness) {
+  ASSERT_EQ(witness.scenario.delays.size(), static_cast<std::size_t>(circuit.num_gates()));
+  sim::VcdRecorder recorder(circuit);
+  const sim::ConformanceReport want = faults::run_scenario(
+      s.graph, circuit, witness.scenario, faults::MinimizeOptions{}.run, &recorder);
+  const sim::ConformanceReport& got = witness.report;
+  EXPECT_EQ(got.clean(), want.clean());
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_EQ(got.external_transitions, want.external_transitions);
+  EXPECT_EQ(got.internal_toggles, want.internal_toggles);
+  EXPECT_EQ(got.absorbed_pulses, want.absorbed_pulses);
+  EXPECT_EQ(got.simulated_time, want.simulated_time);  // exact: byte identity
+  EXPECT_EQ(got.deadlocks, want.deadlocks);
+  EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+  ASSERT_EQ(got.violations.size(), want.violations.size());
+  for (std::size_t i = 0; i < want.violations.size(); ++i) {
+    EXPECT_EQ(got.violations[i].seed, want.violations[i].seed);
+    EXPECT_EQ(got.violations[i].time, want.violations[i].time);
+    EXPECT_EQ(got.violations[i].kind, want.violations[i].kind);
+    EXPECT_EQ(got.violations[i].description, want.violations[i].description);
+  }
+  EXPECT_EQ(witness.vcd, recorder.write());
+}
+
+TEST(MinimizeTest, StuckAtWitnessMatchesReferenceReplay) {
+  const Synthesized s = synthesize("chu133");
+  const netlist::Gate& mhs = first_mhs(s.circuit);
+  FaultScenario scenario;
+  scenario.faults.push_back(Fault{
+      .kind = FaultKind::kGlitch, .net = mhs.inputs[0], .value = true, .time = 1.0, .width = 0.2});
+  scenario.faults.push_back(
+      Fault{.kind = FaultKind::kStuckAt, .net = mhs.inputs[2], .value = false});
+  const faults::MinimizedWitness witness =
+      faults::minimize_counterexample(s.graph, s.circuit, scenario);
+  ASSERT_TRUE(witness.reproduced);
+  expect_witness_matches_reference_replay(s, s.circuit, witness);
+}
+
+TEST(MinimizeTest, UncompensatedStressWitnessMatchesReferenceReplay) {
+  // The --stress-uncomp flow on converta: one extra set level on the
+  // first output, no compensating delay line, adversarial search, then
+  // minimization of the violating delay vector.
+  const Synthesized s = synthesize("converta");
+  const std::string target = s.graph.signal(s.graph.noninput_signals().front()).name;
+  const netlist::Netlist uncomp =
+      faults::strip_delay_compensation(faults::deepen_set_path(s.circuit, target, 1));
+  const faults::AdversarialResult adv =
+      faults::adversarial_delay_search(s.graph, uncomp, faults::AdversarialOptions{});
+  ASSERT_TRUE(adv.violation_found);
+  FaultScenario scenario;
+  scenario.seed = adv.env_seed;
+  scenario.delays = adv.delays;
+  const faults::MinimizedWitness witness =
+      faults::minimize_counterexample(s.graph, uncomp, scenario);
+  ASSERT_TRUE(witness.reproduced);
+  EXPECT_GT(witness.delays_reset, 0);
+  expect_witness_matches_reference_replay(s, uncomp, witness);
 }
 
 TEST(MinimizeTest, PassingScenarioIsReportedNotMinimized) {

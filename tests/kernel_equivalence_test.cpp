@@ -23,6 +23,7 @@
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
+#include "sim/trial_runner.hpp"
 #include "stg/g_format.hpp"
 #include "stg/reachability.hpp"
 #include "util/error.hpp"
@@ -136,15 +137,15 @@ TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
 }
 
 TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
-  // One resettable Simulator reused across runs must reproduce what a
-  // fresh Simulator produces for each run — reset() has to be equivalent
-  // to reconstruction.
+  // One TrialRunner reused across runs must reproduce what a fresh
+  // reference Simulator produces for each run — the runner's reset() and
+  // settle cache have to be equivalent to reconstruction.
   const auto gen = generate(GetParam());
   if (!gen) GTEST_SKIP() << "all-input controller";
 
   const sim::CompiledNetlist compiled(gen->result.circuit, gatelib::GateLibrary::standard());
   const sim::SpecBinding binding(gen->graph, gen->result.circuit);
-  sim::Simulator reuse(compiled, sim::SimulatorOptions{});
+  sim::TrialRunner reuse(compiled);
 
   for (int r = 0; r < 4; ++r) {
     sim::ClosedLoopConfig config;
@@ -154,7 +155,7 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
     const sim::ConformanceReport fresh =
         sim::run_closed_loop(gen->graph, gen->result.circuit, config);
     const sim::ConformanceReport reused =
-        sim::run_closed_loop(gen->graph, binding, compiled, config, nullptr, &reuse);
+        reuse.run(gen->graph, binding, config);
     EXPECT_EQ(conformance_fingerprint(fresh), conformance_fingerprint(reused)) << "run " << r;
   }
 }

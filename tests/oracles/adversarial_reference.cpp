@@ -5,7 +5,7 @@
 
 #include "gatelib/gate_library.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -54,16 +54,11 @@ Restart climb(const sg::StateGraph& spec, const netlist::Netlist& circuit,
               const Box& box, const AdversarialOptions& options, int restart) {
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-  std::optional<sim::Simulator> reuse;
   std::optional<sim::TrialRunner> runner;
   std::optional<MarginProbe> probe;
   if (!options.reference_kernels) {
-    if (options.reference_driver) {
-      reuse.emplace(compiled, sim::SimulatorOptions{});
-    } else {
-      runner.emplace(compiled);
-      probe.emplace(compiled.netlist(), compiled.lib());
-    }
+    runner.emplace(compiled);
+    probe.emplace(compiled.netlist(), compiled.lib());
   }
   auto trial = [&](const std::vector<double>& delays) {
     FaultScenario scenario;
@@ -71,8 +66,7 @@ Restart climb(const sg::StateGraph& spec, const netlist::Netlist& circuit,
     scenario.delays = delays;
     Point point;
     point.run = runner ? run_probed(spec, binding, scenario, options.run, *runner, &*probe)
-                : reuse ? run_probed(spec, binding, compiled, scenario, options.run, &*reuse)
-                        : run_probed(spec, circuit, scenario, options.run);
+                       : run_probed(spec, circuit, scenario, options.run);
     point.score = point.run.report.violations.empty() ? point.run.min_slack : -kNoMargin;
     return point;
   };

@@ -15,7 +15,7 @@
 namespace nshot::faults::reference {
 
 /// The un-memoized climb on the engine `options` selects (reference
-/// kernels, the pre-batch compiled driver, or the TrialRunner).
+/// kernels or the TrialRunner).
 AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
                                            const netlist::Netlist& circuit,
                                            const AdversarialOptions& options);

@@ -1,10 +1,9 @@
 // Thread-determinism tests for the jobs knobs added by the thread×word
 // fusion work: every kernel that accepts a worker count must be
-// byte-identical at jobs=1 (serial) and jobs=8 (threaded) — state graphs
-// from the sharded reachability BFS, region structures, CSC/USC verdicts,
-// bit planes, detonant scans and cover verification.  The suite runs
-// under ThreadSanitizer in CI, so it doubles as the race detector for the
-// sharded frontier merge.
+// byte-identical at jobs=1 (serial) and jobs=8 (threaded) — region
+// structures, CSC/USC verdicts, bit planes, detonant scans and cover
+// verification.  The suite runs under ThreadSanitizer in CI, so it
+// doubles as the race detector for the chunked word-range sweeps.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -26,20 +25,6 @@ namespace {
 
 constexpr int kJobs = 8;
 
-/// Full structural fingerprint of a state graph: states with codes and
-/// names, every edge, the initial state, signal table.
-std::string sg_fingerprint(const sg::StateGraph& g) {
-  std::string out = "init=" + std::to_string(g.initial()) + ";";
-  for (int i = 0; i < g.num_signals(); ++i)
-    out += g.signal(i).name + (g.is_input(i) ? "?" : "!") + ",";
-  for (sg::StateId s = 0; s < g.num_states(); ++s) {
-    out += "\n" + std::to_string(s) + ":" + g.state_name(s) + "=" + std::to_string(g.code(s));
-    for (const sg::Edge& e : g.out_edges(s))
-      out += " --" + g.label_name(e.label) + "--> " + std::to_string(e.target);
-  }
-  return out;
-}
-
 stg::Stg random_net(int seed) {
   bench_suite::RandomStgOptions gen;
   gen.seed = static_cast<std::uint64_t>(seed);
@@ -47,44 +32,6 @@ stg::Stg random_net(int seed) {
 }
 
 class ScaleDeterminismTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScaleDeterminismTest, ShardedReachabilityMatchesSerial) {
-  const stg::Stg net = random_net(GetParam());
-  stg::ReachabilityOptions serial;
-  stg::ReachabilityOptions sharded;
-  sharded.jobs = kJobs;
-  const sg::StateGraph reference = stg::build_state_graph(net, serial);
-  const sg::StateGraph threaded = stg::build_state_graph(net, sharded);
-  EXPECT_EQ(sg_fingerprint(reference), sg_fingerprint(threaded));
-}
-
-TEST_P(ScaleDeterminismTest, ShardedReachabilityThrowsSerialDiagnostics) {
-  // A state cap below the reachable count must produce the same error
-  // code and message from the sharded replay as from the serial loop —
-  // the replay rethrows at the exact serial throw position.
-  const stg::Stg net = random_net(GetParam());
-  stg::ReachabilityOptions serial;
-  serial.max_states = 3;
-  stg::ReachabilityOptions sharded = serial;
-  sharded.jobs = kJobs;
-
-  std::string serial_error, sharded_error;
-  try {
-    stg::build_state_graph(net, serial);
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
-    serial_error = e.message();
-  }
-  try {
-    stg::build_state_graph(net, sharded);
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
-    sharded_error = e.message();
-  }
-  EXPECT_EQ(serial_error, sharded_error);
-  // Every generated net has more than 3 states, so both must throw.
-  EXPECT_FALSE(serial_error.empty());
-}
 
 TEST_P(ScaleDeterminismTest, PlaneBuildersMatchSerial) {
   const sg::StateGraph g = stg::build_state_graph(random_net(GetParam()));

@@ -1,13 +1,14 @@
-// Differential fuzz battery for the batched trial engine
-// (sim/trial_batch.hpp): over 64 seeded random semi-modular circuits, the
-// calendar-queue TrialRunner and the word-packed TrialBatch must produce
-// byte-identical results to the reference per-trial simulator — same
-// verdicts, same report fingerprints (every counter and every
-// simulated-time double), same violation strings, and the same VCD
-// witness bytes per trial.  This is the test the engine's whole contract
-// hangs on; the CI matrix runs it under ASan and TSan.
+// Differential fuzz battery for the production trial engine
+// (sim/trial_runner.hpp): over 64 seeded random semi-modular circuits,
+// TrialRunner must produce byte-identical results to the reference
+// per-trial simulator — same verdicts, same report fingerprints (every
+// counter and every simulated-time double), same violation strings, and
+// the same VCD witness bytes per trial, including across runner reuse
+// and settle-cache hits and misses.  This is the test the engine's whole
+// contract hangs on; the CI matrix runs it under ASan and TSan.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,7 +17,7 @@
 #include "netlist/transform.hpp"
 #include "nshot/synthesis.hpp"
 #include "sim/conformance.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_runner.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -110,30 +111,42 @@ TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
   }
 }
 
-TEST_P(SimBatchEquivalenceTest, TrialBatchMatchesReferenceAcrossLanes) {
+TEST_P(SimBatchEquivalenceTest, SettleCacheMatchesFreshRuns) {
   const std::optional<Generated> gen = generate(GetParam());
   if (!gen) GTEST_SKIP() << "draw is not implementable";
   const netlist::Netlist& circuit = gen->result.circuit;
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+
+  // A second spec over the same circuit, started from another state: its
+  // binding carries different initial net values, so switching between
+  // the two bindings invalidates the runner's settle cache.
+  sg::StateGraph shifted = gen->graph;
+  for (sg::StateId s = 0; s < shifted.num_states(); ++s)
+    if (shifted.code(s) != gen->graph.code(gen->graph.initial())) {
+      shifted.set_initial(s);
+      break;
+    }
+  if (shifted.initial() == gen->graph.initial()) GTEST_SKIP() << "single-code graph";
   const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding shifted_binding(shifted, circuit);
+  ASSERT_NE(binding.initial_values, shifted_binding.initial_values);
 
-  // A full 64-lane batch with deliberate duplicates so the lockstep-share
-  // path (identical configs riding one scalar run) is exercised alongside
-  // the peel path.
+  // One runner over misses (key changes) and hits (same key repeated).
+  sim::TrialRunner runner(compiled);
   const std::uint64_t base_seed = 0xfeedULL + static_cast<std::uint64_t>(GetParam());
-  std::vector<sim::ClosedLoopConfig> configs;
-  for (int lane = 0; lane < sim::TrialBatch::kLanes; ++lane)
-    configs.push_back(trial_config(base_seed, lane % 24));  // lanes 24.. duplicate 0..
-
-  sim::TrialBatch batch(compiled);
-  std::vector<sim::ConformanceReport> got(configs.size());
-  batch.run(gen->graph, binding, configs.data(), static_cast<int>(configs.size()), got.data());
-
-  for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    const sim::ConformanceReport want =
-        sim::run_closed_loop(gen->graph, binding, compiled, configs[lane]);
-    expect_same_report(got[lane], want,
-                       "circuit " + std::to_string(GetParam()) + " lane " + std::to_string(lane));
+  const bool use_shifted[] = {false, false, true, false, true, true, false};
+  for (int r = 0; r < static_cast<int>(std::size(use_shifted)); ++r) {
+    const sg::StateGraph& spec = use_shifted[r] ? shifted : gen->graph;
+    const sim::ClosedLoopConfig config = trial_config(base_seed, r);
+    const std::string label = "circuit " + std::to_string(GetParam()) + " trial " +
+                              std::to_string(r) + (use_shifted[r] ? " (shifted)" : "");
+    sim::VcdRecorder want_vcd(circuit);
+    const sim::ConformanceReport want = sim::run_closed_loop(spec, circuit, config, &want_vcd);
+    sim::VcdRecorder got_vcd(circuit);
+    const sim::ConformanceReport got =
+        runner.run(spec, use_shifted[r] ? shifted_binding : binding, config, &got_vcd);
+    expect_same_report(got, want, label);
+    EXPECT_EQ(got_vcd.write(), want_vcd.write()) << "VCD witness diverged: " << label;
   }
 }
 

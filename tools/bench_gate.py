@@ -3,10 +3,10 @@
 BENCH_queue_scaling.json.
 
 Compares a freshly measured bench JSON against the committed one using
-the IN-RUN speedup ratios (reference/compiled, compiled/batched,
-reference/word-parallel), never absolute milliseconds: both sides of each
-ratio were measured in the same process on the same machine, so the
-ratios transfer across hosts while wall-clock numbers do not.
+the IN-RUN speedup ratios (reference/compiled, reference/word-parallel),
+never absolute milliseconds: both sides of each ratio were measured in
+the same process on the same machine, so the ratios transfer across hosts
+while wall-clock numbers do not.
 
 Checks, in order:
   1. the fresh run asserts byte_identical (all engines produced the same
@@ -33,9 +33,6 @@ RATIO_KEYS = (
     "conformance_speedup",
     "stress_speedup",
     "total_speedup",
-    "conformance_batch_speedup",
-    "stress_batch_speedup",
-    "total_batch_speedup",
     "largest_tier_combined_speedup",
     # BENCH_serve.json: mean server-side latency of the cold (empty memo)
     # pass over the warm (repeated specs) passes — the shared-cache payoff.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <unordered_map>
 
 #include "exec/cancel.hpp"
@@ -64,40 +63,20 @@ struct Evaluation {
   ProbedRun run;
 };
 
-Evaluation scored(ProbedRun run) {
+/// One objective evaluation: the probed run of `delays` under `env_seed`
+/// on `runner`, reusing `probe`.
+Evaluation evaluate(const sg::StateGraph& spec, const sim::SpecBinding& binding,
+                    sim::TrialRunner& runner, MarginProbe& probe,
+                    const std::vector<double>& delays, std::uint64_t env_seed,
+                    const ScenarioOptions& options) {
+  FaultScenario scenario;
+  scenario.seed = env_seed;
+  scenario.delays = delays;
   Evaluation eval;
-  eval.score = run.report.violations.empty() ? run.min_slack : -kNoMargin;
-  eval.run = std::move(run);
+  eval.run = run_probed(spec, binding, scenario, options, runner, &probe);
+  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
   return eval;
 }
-
-/// One objective evaluation: the uncompiled reference kernels when
-/// `options` asks for them, else the TrialRunner with a reused MarginProbe.
-struct Engine {
-  const sg::StateGraph& spec;
-  const netlist::Netlist& circuit;
-  const sim::SpecBinding& binding;
-  std::optional<sim::TrialRunner> runner;
-  std::optional<MarginProbe> probe;
-
-  Engine(const sg::StateGraph& spec_, const netlist::Netlist& circuit_,
-         const sim::SpecBinding& binding_, const sim::CompiledNetlist& compiled,
-         const AdversarialOptions& options)
-      : spec(spec_), circuit(circuit_), binding(binding_) {
-    if (options.reference_kernels) return;
-    runner.emplace(compiled);
-    probe.emplace(compiled.netlist(), compiled.lib());
-  }
-
-  Evaluation evaluate(const std::vector<double>& delays, std::uint64_t env_seed,
-                      const ScenarioOptions& options) {
-    FaultScenario scenario;
-    scenario.seed = env_seed;
-    scenario.delays = delays;
-    if (runner) return scored(run_probed(spec, binding, scenario, options, *runner, &*probe));
-    return scored(run_probed(spec, circuit, scenario, options));
-  }
-};
 
 /// Bit-exact hashing and equality of delay vectors: two vectors name the
 /// same trial iff every delay has the same bit pattern (floating-point ==
@@ -136,8 +115,8 @@ struct RestartOutcome {
   long skipped = 0;      // proposals answered without a trial
 };
 
-RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                             const SearchSpace& box, const sim::DelaySpace& space,
+RestartOutcome climb_restart(const sg::StateGraph& spec, const SearchSpace& box,
+                             const sim::DelaySpace& space,
                              const AdversarialOptions& options, int restart,
                              const sim::SpecBinding& binding,
                              const sim::CompiledNetlist& compiled) {
@@ -145,13 +124,14 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
   // in the delay vector, so accepted steps are genuine descents.
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-  Engine engine(spec, circuit, binding, compiled, options);
+  sim::TrialRunner runner(compiled, options.reference_kernels);
+  MarginProbe probe(compiled.netlist(), compiled.lib());
 
   RestartOutcome out;
   out.env_seed = env_seed;
 
   std::vector<double> current = sample_uniform(box, space, rng);
-  Evaluation eval = engine.evaluate(current, env_seed, options.run);
+  Evaluation eval = evaluate(spec, binding, runner, probe, current, env_seed, options.run);
   ++out.evaluations;
   double current_score = eval.score;
   auto take_best = [&](const std::vector<double>& delays, const Evaluation& e) {
@@ -201,7 +181,7 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
       if (seen->second <= current_score) current = std::move(candidate);
       continue;
     }
-    Evaluation step = engine.evaluate(candidate, env_seed, options.run);
+    Evaluation step = evaluate(spec, binding, runner, probe, candidate, env_seed, options.run);
     scored_at.emplace(candidate, step.score);
     if (step.score <= current_score) {  // accept sideways moves too
       current = std::move(candidate);
@@ -225,7 +205,7 @@ AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
 
   std::vector<RestartOutcome> restarts = exec::parallel_map<RestartOutcome>(
       options.restarts,
-      [&](int r) { return climb_restart(spec, circuit, box, space, options, r, binding, compiled); },
+      [&](int r) { return climb_restart(spec, box, space, options, r, binding, compiled); },
       options.jobs);
 
   // Merge in restart order, reproducing the serial sweep exactly: a strict
@@ -273,11 +253,13 @@ MonteCarloResult stressed_monte_carlo(const sg::StateGraph& spec,
   exec::parallel_for_chunks(
       runs, options.grain > 0 ? options.grain : exec::batch_grain(runs, options.jobs),
       [&](int begin, int end) {
-        Engine engine(spec, circuit, binding, compiled, options);
+        sim::TrialRunner runner(compiled, options.reference_kernels);
+        MarginProbe probe(circuit, compiled.lib());
         for (int r = begin; r < end; ++r) {
           const std::uint64_t seed = run_seed(options.seed, r);
           Rng rng(seed);
-          const Evaluation eval = engine.evaluate(sample_uniform(box, space, rng), seed, options.run);
+          const Evaluation eval = evaluate(spec, binding, runner, probe,
+                                           sample_uniform(box, space, rng), seed, options.run);
           trials[static_cast<std::size_t>(r)] =
               Trial{!eval.run.report.violations.empty(), eval.run.min_slack};
         }

@@ -98,31 +98,6 @@ sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecB
   return runner.run(spec, binding, to_config(scenario, options), recorder);
 }
 
-namespace {
-
-std::vector<double> apply_delay_faults(std::vector<double> delays, const FaultScenario& scenario,
-                                       std::size_t num_gates) {
-  NSHOT_REQUIRE(delays.size() == num_gates, "delay vector does not match the circuit");
-  for (const Fault& fault : scenario.faults)
-    if (fault.kind == FaultKind::kDelayOutlier || fault.kind == FaultKind::kDelayShave)
-      delays[static_cast<std::size_t>(fault.gate)] = fault.delay;
-  return delays;
-}
-
-}  // namespace
-
-std::vector<double> materialize_delays(const netlist::Netlist& circuit,
-                                       const FaultScenario& scenario) {
-  std::vector<double> delays = scenario.delays;
-  if (delays.empty()) {
-    const sim::DelaySpace space(circuit, gatelib::GateLibrary::standard());
-    Rng rng(scenario.seed);
-    delays = space.sample(rng);
-  }
-  return apply_delay_faults(std::move(delays), scenario,
-                            static_cast<std::size_t>(circuit.num_gates()));
-}
-
 std::vector<double> materialize_delays(const sim::CompiledNetlist& compiled,
                                        const FaultScenario& scenario) {
   std::vector<double> delays = scenario.delays;
@@ -130,8 +105,12 @@ std::vector<double> materialize_delays(const sim::CompiledNetlist& compiled,
     Rng rng(scenario.seed);
     delays = compiled.delay_space().sample(rng);
   }
-  return apply_delay_faults(std::move(delays), scenario,
-                            static_cast<std::size_t>(compiled.num_gates()));
+  NSHOT_REQUIRE(delays.size() == static_cast<std::size_t>(compiled.num_gates()),
+                "delay vector does not match the circuit");
+  for (const Fault& fault : scenario.faults)
+    if (fault.kind == FaultKind::kDelayOutlier || fault.kind == FaultKind::kDelayShave)
+      delays[static_cast<std::size_t>(fault.gate)] = fault.delay;
+  return delays;
 }
 
 netlist::Netlist strip_delay_compensation(const netlist::Netlist& circuit) {

@@ -86,27 +86,25 @@ sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOpt
                                 std::vector<double> delays);
 
 /// Run one scenario of `circuit` against `spec` on the reference driver
-/// (sim::run_closed_loop).
+/// (sim::run_closed_loop) — the thin reference-mode wrapper one-off runs
+/// (tests, benches) use.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options,
                                     sim::VcdRecorder* recorder = nullptr);
 
-/// Production variant: the scenario runs on `runner` (sim/trial_runner.hpp)
-/// against runner.compiled().  Byte-identical to the overload above.
+/// The same scenario on `runner` (sim/trial_runner.hpp) against
+/// runner.compiled() — the fused engine, or the reference when the runner
+/// was built with reference_kernels.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options, sim::TrialRunner& runner,
                                     sim::VcdRecorder* recorder = nullptr);
 
 /// The per-gate delay assignment `scenario` denotes, materialized: the
-/// explicit vector if given (else the seed-sampled one), with the delay
-/// faults applied on top.  Matches what the simulator will use gate by
-/// gate.
-std::vector<double> materialize_delays(const netlist::Netlist& circuit,
-                                       const FaultScenario& scenario);
-
-/// Same, drawing from the compiled netlist's precomputed DelaySpace.
+/// explicit vector if given (else the one sampled from the seed through
+/// the compiled netlist's DelaySpace), with the delay faults applied on
+/// top.  Matches what the simulator will use gate by gate.
 std::vector<double> materialize_delays(const sim::CompiledNetlist& compiled,
                                        const FaultScenario& scenario);
 

@@ -199,15 +199,16 @@ double enable_line_delay(const netlist::Netlist& circuit, const std::vector<doub
   return delays[static_cast<std::size_t>(driver)];
 }
 
-std::vector<Eq1Margin> eq1_margins_impl(const netlist::Netlist& circuit,
-                                        const gatelib::GateLibrary& lib,
-                                        const std::vector<double>& delays,
-                                        const sim::CompiledNetlist* compiled) {
+}  // namespace
+
+std::vector<Eq1Margin> eq1_margins(const sim::CompiledNetlist& compiled,
+                                   const std::vector<double>& delays) {
+  const netlist::Netlist& circuit = compiled.netlist();
   NSHOT_REQUIRE(delays.size() == static_cast<std::size_t>(circuit.num_gates()),
                 "eq1_margins: one delay per gate expected");
   std::vector<Eq1Margin> margins;
-  const PathDelays paths = settle_paths(circuit, delays, compiled);
-  const double t_mhs = lib.mhs_response();
+  const PathDelays paths = settle_paths(circuit, delays, &compiled);
+  const double t_mhs = compiled.lib().mhs_response();
   for (GateId g = 0; g < circuit.num_gates(); ++g) {
     const Gate& gate = circuit.gate(g);
     if (gate.type != GateType::kMhsFlipFlop) continue;
@@ -220,26 +221,13 @@ std::vector<Eq1Margin> eq1_margins_impl(const netlist::Netlist& circuit,
     m.t_set1_fast = paths.shortest[set];
     m.t_res0_worst = paths.longest[reset];
     m.t_res1_fast = paths.shortest[reset];
-    m.t_del_set = enable_line_delay(circuit, delays, gate.inputs[2], compiled);
-    m.t_del_reset = enable_line_delay(circuit, delays, gate.inputs[3], compiled);
+    m.t_del_set = enable_line_delay(circuit, delays, gate.inputs[2], &compiled);
+    m.t_del_reset = enable_line_delay(circuit, delays, gate.inputs[3], &compiled);
     m.slack_set = m.t_del_set + m.t_res1_fast + t_mhs - m.t_set0_worst;
     m.slack_reset = m.t_del_reset + m.t_set1_fast + t_mhs - m.t_res0_worst;
     margins.push_back(std::move(m));
   }
   return margins;
-}
-
-}  // namespace
-
-std::vector<Eq1Margin> eq1_margins(const netlist::Netlist& circuit,
-                                   const gatelib::GateLibrary& lib,
-                                   const std::vector<double>& delays) {
-  return eq1_margins_impl(circuit, lib, delays, nullptr);
-}
-
-std::vector<Eq1Margin> eq1_margins(const sim::CompiledNetlist& compiled,
-                                   const std::vector<double>& delays) {
-  return eq1_margins_impl(compiled.netlist(), compiled.lib(), delays, &compiled);
 }
 
 std::vector<Eq1Requirement> eq1_requirements(const netlist::Netlist& circuit,
@@ -275,19 +263,6 @@ std::vector<Eq1Requirement> eq1_requirements(const netlist::Netlist& circuit,
 
 namespace {
 
-/// The run's config with the materialized delay vector moved in as its
-/// explicit assignment — the one copy of the vector a probed run makes;
-/// the Eq. 1 evaluation reads it back from config.sim.explicit_delays.
-template <typename Circuit>
-sim::ClosedLoopConfig probed_config(const Circuit& circuit, const FaultScenario& scenario,
-                                    const ScenarioOptions& options, MarginProbe& probe) {
-  sim::ClosedLoopConfig config =
-      to_config(scenario, options, materialize_delays(circuit, scenario));
-  config.observer = probe.observer();
-  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
-  return config;
-}
-
 /// Fold the probe's ω statistics and the Eq. 1 margins into the run.
 void collect_margins(const MarginProbe& probe, std::vector<Eq1Margin> eq1, ProbedRun& run) {
   run.eq1 = std::move(eq1);
@@ -300,18 +275,6 @@ void collect_margins(const MarginProbe& probe, std::vector<Eq1Margin> eq1, Probe
 
 }  // namespace
 
-ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                     const FaultScenario& scenario, const ScenarioOptions& options) {
-  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
-  MarginProbe probe(circuit, lib);
-  const sim::ClosedLoopConfig config = probed_config(circuit, scenario, options, probe);
-
-  ProbedRun run;
-  run.report = sim::run_closed_loop(spec, circuit, config);
-  collect_margins(probe, eq1_margins(circuit, lib, config.sim.explicit_delays), run);
-  return run;
-}
-
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe_reuse) {
@@ -322,12 +285,25 @@ ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding
     probe->reset();
   else
     probe = &local.emplace(compiled.netlist(), compiled.lib());
-  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, *probe);
+  // The materialized delay vector moves in as the explicit assignment —
+  // the one copy of it a probed run makes; the Eq. 1 evaluation reads it
+  // back from config.sim.explicit_delays.
+  sim::ClosedLoopConfig config =
+      to_config(scenario, options, materialize_delays(compiled, scenario));
+  config.observer = probe->observer();
+  config.on_initialized = [probe](const sim::Simulator& sim) { probe->capture_initial(sim); };
 
   ProbedRun run;
   run.report = runner.run(spec, binding, config);
   collect_margins(*probe, eq1_margins(compiled, config.sim.explicit_delays), run);
   return run;
+}
+
+ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
+                     const FaultScenario& scenario, const ScenarioOptions& options) {
+  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  sim::TrialRunner runner(compiled, /*reference_kernels=*/true);
+  return run_probed(spec, sim::SpecBinding(spec, circuit), scenario, options, runner);
 }
 
 }  // namespace nshot::faults

@@ -117,15 +117,9 @@ struct Eq1Margin {
   double slack() const { return std::min(slack_set, slack_reset); }
 };
 
-/// Evaluate the Eq. 1 slack of every MHS flip-flop in `circuit` for the
-/// given per-gate delay assignment (one entry per gate, as produced by
-/// `materialize_delays` or Simulator::gate_delays).
-std::vector<Eq1Margin> eq1_margins(const netlist::Netlist& circuit,
-                                   const gatelib::GateLibrary& lib,
-                                   const std::vector<double>& delays);
-
-/// Same evaluation using the compiled netlist's O(1) driver table instead
-/// of per-net linear scans.
+/// Evaluate the Eq. 1 slack of every MHS flip-flop of the compiled
+/// netlist for the given per-gate delay assignment (one entry per gate, as
+/// produced by `materialize_delays` or Simulator::gate_delays).
 std::vector<Eq1Margin> eq1_margins(const sim::CompiledNetlist& compiled,
                                    const std::vector<double>& delays);
 
@@ -162,16 +156,17 @@ struct ProbedRun {
   double min_slack = kNoMargin;
 };
 
-/// One probed run on the reference driver (sim::run_closed_loop).
-ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                     const FaultScenario& scenario, const ScenarioOptions& options);
-
-/// Production variant: the scenario runs on `runner` (sim/trial_runner.hpp)
-/// against runner.compiled().  `probe` (optional) is reset and reused
-/// instead of constructing a MarginProbe per run.  Byte-identical to the
-/// overload above.
+/// One probed run on `runner` (sim/trial_runner.hpp) against
+/// runner.compiled() — the fused engine, or the reference when the runner
+/// was built with reference_kernels.  `probe` (optional) is reset and
+/// reused instead of constructing a MarginProbe per run.
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe = nullptr);
+
+/// Thin reference-mode wrapper for one-off runs (tests, benches): compiles
+/// `circuit` and runs the overload above on a reference TrialRunner.
+ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
+                     const FaultScenario& scenario, const ScenarioOptions& options);
 
 }  // namespace nshot::faults

@@ -1,7 +1,6 @@
 #include "faults/stress.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
@@ -68,20 +67,14 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
         options.margin_runs,
         options.grain > 0 ? options.grain : exec::batch_grain(options.margin_runs, options.jobs),
         [&](int begin, int end) {
-          // The uncompiled reference kernels, or (default) the chunk's
-          // TrialRunner with a chunk-reused MarginProbe.
-          std::optional<sim::TrialRunner> runner;
-          std::optional<MarginProbe> probe;
-          if (!options.reference_kernels) {
-            runner.emplace(compiled);
-            probe.emplace(circuit, lib);
-          }
+          // One TrialRunner and one reused MarginProbe per chunk.
+          sim::TrialRunner runner(compiled, options.reference_kernels);
+          MarginProbe probe(circuit, lib);
           for (int r = begin; r < end; ++r) {
             FaultScenario scenario;
             scenario.seed = run_seed(options.seed, r);
             probed[static_cast<std::size_t>(r)] =
-                runner ? run_probed(spec, binding, scenario, options.run, *runner, &*probe)
-                       : run_probed(spec, circuit, scenario, options.run);
+                run_probed(spec, binding, scenario, options.run, runner, &probe);
           }
         },
         options.jobs);
@@ -166,8 +159,7 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             ? options.grain
             : exec::batch_grain(static_cast<int>(battery.size()), options.jobs),
         [&](int begin, int end) {
-          std::optional<sim::TrialRunner> runner;
-          if (!options.reference_kernels) runner.emplace(compiled);
+          sim::TrialRunner runner(compiled, options.reference_kernels);
           for (int j = begin; j < end; ++j) {
             const BatteryEntry& entry = battery[static_cast<std::size_t>(j)];
             FaultOutcome outcome;
@@ -178,8 +170,7 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             scenario.seed = options.seed;
             scenario.faults.push_back(entry.fault);
             const sim::ConformanceReport run =
-                runner ? run_scenario(spec, binding, scenario, options.run, *runner)
-                       : run_scenario(spec, circuit, scenario, options.run);
+                run_scenario(spec, binding, scenario, options.run, runner);
             outcome.survived = run.clean();
             if (!run.violations.empty())
               outcome.violation =

@@ -114,7 +114,8 @@ ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const ConformanceOptions& options = {});
 
 /// Sweep against a pre-compiled netlist: the spec binding is resolved once
-/// and trials run chunked, one TrialRunner per chunk.
+/// and trials run chunked, one TrialRunner per chunk (in reference mode
+/// under options.reference_kernels).
 ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const CompiledNetlist& compiled,
                                     const ConformanceOptions& options = {});
@@ -193,8 +194,9 @@ struct ClosedLoopConfig {
 /// given configuration; returns a single-run report (runs == 1).  When
 /// `recorder` is non-null every net change is also captured for VCD
 /// export.  This is the reference driver: it compiles the circuit and
-/// constructs a heap-queue Simulator per call.  The production engine,
-/// sim::TrialRunner (sim/trial_runner.hpp), is byte-identical to it.
+/// constructs a heap-queue Simulator per call — what sim::TrialRunner
+/// (sim/trial_runner.hpp) runs in reference mode, and what its fused
+/// driver is byte-identical to.
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config,
                                   VcdRecorder* recorder = nullptr);

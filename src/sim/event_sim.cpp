@@ -67,7 +67,6 @@ void Simulator::reset(const SimulatorOptions& options) {
   now_ = 0.0;
   initialized_ = false;
   observer_ = {};
-  commit_log_ = nullptr;
 
   // Delay assignment: exactly the draw sequence a fresh construction makes
   // (the seed identifies the same delay vector everywhere).
@@ -248,28 +247,26 @@ void Simulator::schedule_net(NetId net, bool value, double time, std::uint32_t g
   events_.push(event);
 }
 
-void Simulator::commit_net(NetId net, bool value, bool forced_commit) {
-  if (forced_[static_cast<std::size_t>(net)] && !forced_commit) return;
-  if ((values_[static_cast<std::size_t>(net)] != 0) == value) return;
+bool Simulator::commit_net(NetId net, bool value, bool forced_commit) {
+  if (forced_[static_cast<std::size_t>(net)] && !forced_commit) return false;
+  if ((values_[static_cast<std::size_t>(net)] != 0) == value) return false;
   values_[static_cast<std::size_t>(net)] = value ? 1 : 0;
   ++toggles_[static_cast<std::size_t>(net)];
-  if (commit_log_ != nullptr)
-    commit_log_->push_back(Commit{net, value});
-  else if (observer_)
-    observer_(net, value, now_);
+  if (observer_) observer_(net, value, now_);
   for (const GateId g : compiled_->fanout(net)) evaluate_gate(g);
+  return true;
 }
 
-void Simulator::force_net(NetId net, bool value) {
+bool Simulator::force_net(NetId net, bool value) {
   NSHOT_REQUIRE(initialized_, "initialize the simulator before forcing nets");
   forced_[static_cast<std::size_t>(net)] = 1;
   // Pin both the committed and projected views: pending driver events for
   // this net still pop but commit_net drops them while the force holds.
   projected_[static_cast<std::size_t>(net)] = value ? 1 : 0;
-  commit_net(net, value, /*forced_commit=*/true);
+  return commit_net(net, value, /*forced_commit=*/true);
 }
 
-void Simulator::release_net(NetId net) {
+bool Simulator::release_net(NetId net) {
   NSHOT_REQUIRE(initialized_, "initialize the simulator before releasing nets");
   NSHOT_REQUIRE(forced_[static_cast<std::size_t>(net)] != 0,
                 "release_net on a net that is not forced");
@@ -289,7 +286,7 @@ void Simulator::release_net(NetId net) {
     restored = eval_combinational(gate);
   }
   projected_[static_cast<std::size_t>(net)] = restored ? 1 : 0;
-  commit_net(net, restored, /*forced_commit=*/true);
+  return commit_net(net, restored, /*forced_commit=*/true);
 }
 
 void Simulator::advance_time(double t) {

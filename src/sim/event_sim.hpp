@@ -123,9 +123,12 @@ class Simulator {
   /// force/release pair).  `release_net` un-pins the net and restores the
   /// driver's present output (the driven net must be combinational —
   /// AND/OR/INV/BUF — or driverless).  Both commit immediately and
-  /// propagate through the fanout like any net change.
-  void force_net(netlist::NetId net, bool value);
-  void release_net(netlist::NetId net);
+  /// propagate through the fanout like any net change.  The pinned net is
+  /// the only one either can commit (evaluate_gate only schedules); the
+  /// return value says whether it did, so a driver without an observer
+  /// can run its per-commit check on that net.
+  bool force_net(netlist::NetId net, bool value);
+  bool release_net(netlist::NetId net);
   bool is_forced(netlist::NetId net) const {
     return forced_[static_cast<std::size_t>(net)] != 0;
   }
@@ -137,20 +140,6 @@ class Simulator {
   void advance_time(double t);
 
   void set_observer(NetObserver observer) { observer_ = std::move(observer); }
-
-  /// One committed net change, in commit order.
-  struct Commit {
-    netlist::NetId net;
-    bool value;
-  };
-
-  /// Route committed changes into `log` instead of dispatching observer_.
-  /// The driver drains the log after every step/force/release — commit
-  /// times are recoverable as now() because at most one commit happens per
-  /// step (evaluate_gate only schedules) and forces drain immediately.
-  /// This replaces a std::function call per commit with a push_back; the
-  /// TrialRunner's injection driver lives on it.  Cleared by reset().
-  void set_commit_log(std::vector<Commit>* log) { commit_log_ = log; }
 
   /// Process the next event; returns false when the queue is empty.
   bool step();
@@ -174,9 +163,9 @@ class Simulator {
   /// observable net commits (net_signal[net] >= 0), the queue drains, the
   /// event budget trips, now() reaches `time_limit`, or the next pending
   /// event lies past `bound`.  Exactly equivalent to calling step() per
-  /// event with a commit log drained between steps (the check order after
-  /// each event is the drain loop's: time limit, queue, bound), minus the
-  /// per-event log traffic and accessor round-trips.  `pre_check`, when
+  /// event under an observer, checking after each event the time limit,
+  /// then the queue, then the bound — minus the per-event std::function
+  /// hop and accessor round-trips.  `pre_check`, when
   /// non-null, is invoked for every commit in commit order (the VCD/probe
   /// observers); the caller runs the spec walk on the returned observable
   /// commit.  With `single` set, exactly one event is processed and the
@@ -242,7 +231,8 @@ class Simulator {
   void arm_initial_storage();
   void build_hot_gates();
   void schedule_net(netlist::NetId net, bool value, double time, std::uint32_t generation = 0);
-  void commit_net(netlist::NetId net, bool value, bool forced_commit = false);
+  /// Returns whether the value changed (and the fanout was evaluated).
+  bool commit_net(netlist::NetId net, bool value, bool forced_commit = false);
   void evaluate_gate(netlist::GateId g);
   /// One implementation evaluates both gate records: the cold CompiledGate
   /// (initialize, release_net) and the per-trial HotGate (event walk).
@@ -282,7 +272,6 @@ class Simulator {
   double now_ = 0.0;
   bool initialized_ = false;
   NetObserver observer_;
-  std::vector<Commit>* commit_log_ = nullptr;
 };
 
 }  // namespace nshot::sim

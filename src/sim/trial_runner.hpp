@@ -1,10 +1,12 @@
-// The production closed-loop trial engine.
+// The closed-loop trial engine: the one entry point every sweep (the
+// conformance check, the stress margins and battery, the adversarial
+// search, the minimizer) runs its trials through.
 //
 // A conformance/stress campaign runs hundreds of closed-loop trials that
 // differ only in their delay draws, environment streams and faults.
 // TrialRunner executes them one at a time against a compiled netlist,
 // rebuilt for throughput over the per-trial reference driver (run_once in
-// conformance.cpp):
+// trial_runner.cpp, exposed as run_closed_loop):
 //
 //  * one adaptive-queue Simulator (sim/event_queue.hpp — sorted array at
 //    small populations, calendar past the measured crossover) reset and
@@ -13,17 +15,21 @@
 //    binding's initial values is computed once by Simulator::initialize
 //    and replayed through initialize_from_settled while the initial
 //    values stay the same;
-//  * a commit log drained after each step (and, without timed injections,
-//    the fused Simulator::run_burst loop) instead of a std::function
-//    observer per commit.
+//  * one driver loop around the fused Simulator::run_burst: events run in
+//    bursts bounded by the environment's decision instant and by the next
+//    timed injection (glitch force/release), and only observable commits
+//    surface to the spec walk — no std::function observer per commit.
+//
+// Constructed with reference_kernels set (RunConfig::reference_kernels),
+// run() is the reference itself: a fresh compile, a heap-queue Simulator
+// and run_once, per trial.  Callers hold one TrialRunner either way.
 //
 // The contract is byte-identity: for every config, TrialRunner::run
 // produces the same ConformanceReport — violation strings, simulated-time
 // doubles, RNG draw sequence — and the same VCD witness bytes as
-// run_closed_loop on the reference per-trial simulator.  The differential
-// battery in tests/sim_batch_equivalence_test.cpp enforces this over
-// fuzzed circuits; check_conformance enforces it per-trial under
-// --verify-kernels.
+// run_closed_loop.  The differential battery in
+// tests/sim_batch_equivalence_test.cpp enforces this over fuzzed circuits;
+// check_conformance enforces it per-trial under --verify-kernels.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +41,12 @@
 namespace nshot::sim {
 
 /// One closed-loop trial at a time, byte-identical to
-/// run_closed_loop(spec, circuit, config) on the reference driver.
-/// Reusable across trials and bindings of the same compiled netlist — all
-/// arenas (queue buckets, settle cache, commit log, choice scratch) keep
-/// their capacity.
+/// run_closed_loop(spec, circuit, config).  Reusable across trials and
+/// bindings of the same compiled netlist — all arenas (queue buckets,
+/// settle cache, choice scratch) keep their capacity.
 class TrialRunner {
  public:
-  explicit TrialRunner(const CompiledNetlist& compiled);
+  explicit TrialRunner(const CompiledNetlist& compiled, bool reference_kernels = false);
 
   ConformanceReport run(const sg::StateGraph& spec, const SpecBinding& binding,
                         const ClosedLoopConfig& config, VcdRecorder* recorder = nullptr);
@@ -56,10 +61,10 @@ class TrialRunner {
 
   const CompiledNetlist* compiled_;
   Simulator sim_;
+  bool reference_kernels_;
   std::vector<std::pair<netlist::NetId, bool>> settle_key_;
   std::vector<std::uint8_t> settled_;
   bool have_settle_ = false;
-  std::vector<Simulator::Commit> log_;
   std::vector<sg::TransitionLabel> choices_;
 };
 

@@ -489,21 +489,30 @@ TEST(FusedChainFifoTest, SameTickCommitsMatchTheStepDriver) {
     simulator.set_input(a, true, 50.0 + 1e-12);  // near-tie across external edges
   };
 
+  // One committed change, as either driver reports it.
+  struct Commit {
+    netlist::NetId net;
+    bool value;
+    double time;
+  };
+
   // Reference: the unfused step() driver (step never engages the hold
-  // register), commit log in commit order.
+  // register), commits captured in commit order by the observer.
   Simulator reference(compiled, options);
-  std::vector<Simulator::Commit> reference_log;
-  reference.set_commit_log(&reference_log);
+  std::vector<Commit> reference_log;
   drive(reference);
+  reference.set_observer([&reference_log](netlist::NetId net, bool value, double time) {
+    reference_log.push_back({net, value, time});
+  });
   while (reference.step()) {
   }
 
   // Fused: the run_burst walk on the same schedule, commits captured via
-  // the pre_check observer (run_burst's equivalent of the commit log).
+  // the pre_check observer (run_burst's per-commit hook).
   Simulator fused(compiled, options);
-  std::vector<Simulator::Commit> fused_log;
-  const NetObserver capture = [&fused_log](netlist::NetId net, bool value, double) {
-    fused_log.push_back({net, value});
+  std::vector<Commit> fused_log;
+  const NetObserver capture = [&fused_log](netlist::NetId net, bool value, double time) {
+    fused_log.push_back({net, value, time});
   };
   drive(fused);
   const std::vector<int> no_observables(static_cast<std::size_t>(nl.num_nets()), -1);
@@ -516,6 +525,7 @@ TEST(FusedChainFifoTest, SameTickCommitsMatchTheStepDriver) {
   for (std::size_t i = 0; i < reference_log.size(); ++i) {
     EXPECT_EQ(fused_log[i].net, reference_log[i].net) << "commit " << i;
     EXPECT_EQ(fused_log[i].value, reference_log[i].value) << "commit " << i;
+    EXPECT_EQ(fused_log[i].time, reference_log[i].time) << "commit " << i;
   }
   EXPECT_EQ(fused.events_processed(), reference.events_processed());
   EXPECT_EQ(fused.now(), reference.now());

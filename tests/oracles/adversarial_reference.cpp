@@ -1,6 +1,5 @@
 #include "oracles/adversarial_reference.hpp"
 
-#include <optional>
 #include <vector>
 
 #include "gatelib/gate_library.hpp"
@@ -49,24 +48,19 @@ struct Restart {
   long evaluations = 0;
 };
 
-Restart climb(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-              const sim::SpecBinding& binding, const sim::CompiledNetlist& compiled,
-              const Box& box, const AdversarialOptions& options, int restart) {
+Restart climb(const sg::StateGraph& spec, const sim::SpecBinding& binding,
+              const sim::CompiledNetlist& compiled, const Box& box,
+              const AdversarialOptions& options, int restart) {
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-  std::optional<sim::TrialRunner> runner;
-  std::optional<MarginProbe> probe;
-  if (!options.reference_kernels) {
-    runner.emplace(compiled);
-    probe.emplace(compiled.netlist(), compiled.lib());
-  }
+  sim::TrialRunner runner(compiled, options.reference_kernels);
+  MarginProbe probe(compiled.netlist(), compiled.lib());
   auto trial = [&](const std::vector<double>& delays) {
     FaultScenario scenario;
     scenario.seed = env_seed;
     scenario.delays = delays;
     Point point;
-    point.run = runner ? run_probed(spec, binding, scenario, options.run, *runner, &*probe)
-                       : run_probed(spec, circuit, scenario, options.run);
+    point.run = run_probed(spec, binding, scenario, options.run, runner, &probe);
     point.score = point.run.report.violations.empty() ? point.run.min_slack : -kNoMargin;
     return point;
   };
@@ -124,7 +118,7 @@ AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
   AdversarialResult result;
   double best_score = kNoMargin;
   for (int r = 0; r < options.restarts; ++r) {
-    Restart out = climb(spec, circuit, binding, compiled, box, options, r);
+    Restart out = climb(spec, binding, compiled, box, options, r);
     result.evaluations += out.evaluations;
     if (out.best_score < best_score || result.delays.empty()) {
       best_score = out.best_score;

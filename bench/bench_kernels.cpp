@@ -3,7 +3,8 @@
 // Every hot path of the kernel layer keeps its original implementation
 // compiled in behind a reference flag (ConformanceOptions::reference_kernels,
 // StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
-// ReachabilityOptions::reference_maps, compute_regions_reference).  For each
+// compute_regions_reference) or in the test-only oracles (stg::reference
+// reachability, linked from tests/oracles).  For each
 // benchmark circuit this harness runs the Monte Carlo conformance sweep and
 // the full stress campaign once through the reference path (per-trial
 // compile, heap-queue Simulator) and once through the production path
@@ -41,6 +42,7 @@
 #include "logic/exact.hpp"
 #include "nshot/synthesis.hpp"
 #include "obs/obs.hpp"
+#include "oracles/reachability_reference.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
 #include "stg/g_format.hpp"
@@ -255,8 +257,8 @@ KernelTiming measure_exact(bool smoke) {
   return timing;
 }
 
-/// Token-flow reachability: hashed marking maps vs ordered std::map, over
-/// generated controller STGs.
+/// Token-flow reachability: the flat-arena sweep vs the ordered-map oracle,
+/// over generated controller STGs.
 KernelTiming measure_reachability(bool smoke) {
   // Four three-stage chains give a marking graph in the thousands of
   // states — large enough that map lookups, not parsing, dominate.
@@ -283,18 +285,16 @@ KernelTiming measure_reachability(bool smoke) {
   }
 
   std::string reference_out, fast_out;
-  auto build = [&](std::string& out) {
+  auto build = [&](std::string& out, auto&& build_graph) {
     out.clear();
     for (int i = 0; i < repeats; ++i)
       for (const stg::Stg& net : nets)
-        out = std::to_string(stg::build_state_graph(net, options).num_states());
+        out = std::to_string(build_graph(net, options).num_states());
   };
   MinTimer ref_t, fast_t;
   for (int i = 0; i < reps; ++i) {
-    options.reference_maps = true;
-    ref_t.sample([&] { build(reference_out); });
-    options.reference_maps = false;
-    fast_t.sample([&] { build(fast_out); });
+    ref_t.sample([&] { build(reference_out, stg::reference::build_state_graph); });
+    fast_t.sample([&] { build(fast_out, stg::build_state_graph); });
   }
   timing.reference_ms = ref_t.best;
   timing.fast_ms = fast_t.best;

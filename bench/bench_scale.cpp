@@ -14,9 +14,9 @@
 //                     detonant_states vs their *_reference twins;
 //   * trigger       — enforce_trigger_requirement, supercube-containment
 //                     fast path vs the code-at-a-time reference membership;
-//   * reachability  — build_state_graph, the serial hashed BFS over
-//                     mask-compiled firing vs loop firing over ordered
-//                     std::map.
+//   * reachability  — build_state_graph, the serial flat-arena sweep with
+//                     consumer-indexed mask firing, vs the test-only
+//                     oracle (loop firing over an ordered std::map).
 // The regions and coding legs take a --jobs axis (thread×word fusion: the
 // word-parallel kernels chunk their word ranges across the pool); trigger
 // and reachability are serial.  Every case row records the jobs value and
@@ -49,6 +49,7 @@
 #include "nshot/spec_derivation.hpp"
 #include "nshot/trigger.hpp"
 #include "obs/obs.hpp"
+#include "oracles/reachability_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
@@ -169,6 +170,9 @@ struct TierTiming {
     const double fast = regions_fast_ms + coding_fast_ms + trigger_fast_ms;
     return fast > 0 ? (regions_reference_ms + coding_reference_ms + trigger_reference_ms) / fast
                     : 0;
+  }
+  double reachability_speedup() const {
+    return reachability_fast_ms > 0 ? reachability_reference_ms / reachability_fast_ms : 0;
   }
 };
 
@@ -304,21 +308,19 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
               reference_cover.to_string() == base_cover.to_string();
 
   // --- reachability: marking-graph construction from the STG --------------
-  stg::ReachabilityOptions options = build_options;
   int reference_states = 0, fast_states = 0;
   MinTimer reach_ref_t, reach_fast_t;
   for (int r = 0; r < reps; ++r) {
-    options.reference_maps = true;
-    reach_ref_t.sample(
-        [&] { reference_states = stg::build_state_graph(net, options).num_states(); });
-    options.reference_maps = false;
-    reach_fast_t.sample([&] { fast_states = stg::build_state_graph(net, options).num_states(); });
+    reach_ref_t.sample([&] {
+      reference_states = stg::reference::build_state_graph(net, build_options).num_states();
+    });
+    reach_fast_t.sample(
+        [&] { fast_states = stg::build_state_graph(net, build_options).num_states(); });
   }
   timing.reachability_reference_ms = reach_ref_t.best;
   timing.reachability_fast_ms = reach_fast_t.best;
 
-  options.reference_maps = true;
-  const sg::StateGraph reference_g = stg::build_state_graph(net, options);
+  const sg::StateGraph reference_g = stg::reference::build_state_graph(net, build_options);
   identical = identical && reference_states == fast_states && sg_identical(reference_g, g);
 
   timing.identical = identical;
@@ -416,9 +418,7 @@ int main(int argc, char** argv) {
       "\nlargest tier (%s, %d states): combined regions+coding+trigger %.2fx, "
       "reachability %.2fx\n",
       largest.name.c_str(), largest.states, largest.combined_speedup(),
-      largest.reachability_fast_ms > 0
-          ? largest.reachability_reference_ms / largest.reachability_fast_ms
-          : 0);
+      largest.reachability_speedup());
   // The acceptance floor this PR claims; smoke runs take one unwarmed
   // sample of shrunk workloads, which is a sanity check, not a measurement.
   if (!smoke)
@@ -445,6 +445,7 @@ int main(int argc, char** argv) {
          << ", \"trigger_fast_ms\": " << t.trigger_fast_ms
          << ", \"reachability_reference_ms\": " << t.reachability_reference_ms
          << ", \"reachability_fast_ms\": " << t.reachability_fast_ms
+         << ", \"reachability_speedup\": " << t.reachability_speedup()
          << ", \"combined_speedup\": " << t.combined_speedup() << "}"
          << (i + 1 < timings.size() ? "," : "") << "\n";
   }

@@ -106,7 +106,6 @@ int csc_conflict_count(const sg::StateGraph& graph) {
 std::optional<CscSolveResult> solve_csc(const stg::Stg& source, const CscSolveOptions& options) {
   stg::ReachabilityOptions reach;
   reach.max_states = options.max_states;
-  reach.reference_maps = options.reference_kernels;
   const auto count_conflicts = [&options](const sg::StateGraph& g) {
     return options.reference_kernels ? static_cast<int>(sg::count_csc_conflicts_reference(g))
                                      : csc_conflict_count(g);

@@ -1,9 +1,8 @@
 #include "stg/reachability.hpp"
 
-#include <deque>
-#include <map>
+#include <algorithm>
+#include <bit>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/cancel.hpp"
@@ -13,200 +12,239 @@
 namespace nshot::stg {
 namespace {
 
-using Marking = std::vector<std::uint64_t>;  // bit-packed place marking
+using Word = std::uint64_t;
 
-/// FNV/splitmix-style mix over the packed marking words.
-struct MarkingHash {
-  std::size_t operator()(const Marking& m) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::uint64_t word : m) {
-      h = (h ^ word) * 0x100000001b3ULL;
-      h ^= h >> 29;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
+std::size_t words_for(int bits) { return (static_cast<std::size_t>(bits) + 63) / 64; }
 
-/// Ordered reference map and hashed hot-path map over markings.  Every
-/// traversal below is queue-driven (maps are only consulted for
-/// membership and id lookup), so the two instantiations are
-/// output-identical; `ReachabilityOptions::reference_maps` picks one.
-template <typename Value>
-using OrderedMarkingMap = std::map<Marking, Value>;
-template <typename Value>
-using HashedMarkingMap = std::unordered_map<Marking, Value, MarkingHash>;
-
-Marking pack(const std::vector<bool>& marking) {
-  Marking packed((marking.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < marking.size(); ++i)
-    if (marking[i]) packed[i / 64] |= (1ULL << (i % 64));
-  return packed;
+bool test_bit(const Word* words, int i) {
+  return (words[static_cast<std::size_t>(i) / 64] >> (static_cast<std::size_t>(i) % 64)) & 1ULL;
 }
 
-bool has_token(const Marking& m, PlaceId p) {
-  return (m[static_cast<std::size_t>(p) / 64] >> (static_cast<std::size_t>(p) % 64)) & 1ULL;
+void set_bit(Word* words, int i) {
+  words[static_cast<std::size_t>(i) / 64] |= 1ULL << (static_cast<std::size_t>(i) % 64);
 }
 
-void set_token(Marking& m, PlaceId p, bool value) {
-  const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(p) % 64);
-  if (value)
-    m[static_cast<std::size_t>(p) / 64] |= bit;
-  else
-    m[static_cast<std::size_t>(p) / 64] &= ~bit;
-}
-
-bool transition_enabled(const Stg& stg, const Marking& m, TransitionId t) {
+/// Replay firing `t` from `m` place by place, as the original kernel did,
+/// to raise its 1-safety diagnostic (the first postset place marked once
+/// the preset is cleared).  Masks cannot express a duplicate postset arc.
+[[noreturn]] void raise_not_1_safe(const Stg& stg, const Word* m, std::size_t words,
+                                   TransitionId t) {
+  std::vector<Word> next(m, m + words);
   for (const PlaceId p : stg.preset(t))
-    if (!has_token(m, p)) return false;
-  return !stg.preset(t).empty();
-}
-
-/// Fire `t`; throws if the result is not 1-safe.
-Marking fire(const Stg& stg, const Marking& m, TransitionId t) {
-  Marking next = m;
-  for (const PlaceId p : stg.preset(t)) set_token(next, p, false);
+    next[static_cast<std::size_t>(p) / 64] &= ~(1ULL << (static_cast<std::size_t>(p) % 64));
   for (const PlaceId p : stg.postset(t)) {
-    NSHOT_REQUIRE(!has_token(next, p), "STG " + stg.name() + " is not 1-safe: firing " +
-                                           stg.transition_name(t) + " double-marks place " +
-                                           stg.place_name(p));
-    set_token(next, p, true);
+    NSHOT_REQUIRE(!test_bit(next.data(), p), "STG " + stg.name() + " is not 1-safe: firing " +
+                                                 stg.transition_name(t) +
+                                                 " double-marks place " + stg.place_name(p));
+    set_bit(next.data(), p);
   }
-  return next;
+  raise_error(__FILE__, __LINE__, ErrorCode::kInternal,
+              "internal: no double-marked place when replaying " + stg.transition_name(t));
 }
 
-/// Unambiguous name for the place-loop firing, callable from the policy
-/// classes' own `fire` members without self-lookup.
-inline Marking fire_via_loop(const Stg& stg, const Marking& m, TransitionId t) {
-  return fire(stg, m, t);
-}
+/// The STG compiled to word masks once per traversal.  Per transition: the
+/// preset and postset over the marking words.  Per place: the transitions
+/// whose FIRST preset place it is, so the candidates of a marking are the
+/// OR of its marked places' consumer masks — every enabled transition is
+/// among them, and they are visited in ascending id, the order a scan of
+/// all transitions would fire them in.
+struct CompiledNet {
+  explicit CompiledNet(const Stg& net)
+      : stg(net),
+        words(words_for(net.num_places())),
+        twords(words_for(net.num_transitions())),
+        has_dummies(net.has_dummies()),
+        pre(static_cast<std::size_t>(net.num_transitions()) * words, 0),
+        post(pre.size(), 0),
+        consumers(static_cast<std::size_t>(net.num_places()) * twords, 0),
+        all(twords, 0), labelled(twords, 0), dummies(twords, 0), degenerate(twords, 0),
+        initial(words, 0) {
+    for (TransitionId t = 0; t < net.num_transitions(); ++t) {
+      for (const PlaceId p : net.preset(t)) set_bit(&pre[static_cast<std::size_t>(t) * words], p);
+      for (const PlaceId p : net.postset(t)) {
+        Word* mask = &post[static_cast<std::size_t>(t) * words];
+        if (test_bit(mask, p)) set_bit(degenerate.data(), t);  // duplicate postset arc
+        set_bit(mask, p);
+      }
+      if (net.preset(t).empty()) continue;  // never enabled: in no consumer list
+      set_bit(&consumers[static_cast<std::size_t>(net.preset(t).front()) * twords], t);
+      set_bit(all.data(), t);
+      set_bit(net.transition(t).is_dummy() ? dummies.data() : labelled.data(), t);
+    }
+    for (PlaceId p = 0; p < net.num_places(); ++p)
+      if (net.initial_marking()[static_cast<std::size_t>(p)]) set_bit(initial.data(), p);
+  }
 
-/// Place-at-a-time firing — the original implementation, kept as the
-/// reference kernel (ReachabilityOptions::reference_maps).
-struct LoopFiring {
-  explicit LoopFiring(const Stg&) {}
-  bool enabled(const Stg& stg, const Marking& m, TransitionId t) const {
-    return transition_enabled(stg, m, t);
-  }
-  Marking fire(const Stg& stg, const Marking& m, TransitionId t) const {
-    return fire_via_loop(stg, m, t);
-  }
+  const Stg& stg;
+  std::size_t words, twords;
+  bool has_dummies;
+  std::vector<Word> pre, post;  // per transition, `words` each
+  std::vector<Word> consumers;  // per place, `twords` each
+  /// Transition filters for the sweeps (`twords` each): every transition,
+  /// the labelled ones (state-graph edges), the dummies (saturation).
+  std::vector<Word> all, labelled, dummies;
+  std::vector<Word> degenerate;  // transitions with a duplicate postset arc
+  std::vector<Word> initial;     // the initial marking
 };
 
-/// Mask-compiled firing: per transition, the preset and postset packed as
-/// word masks over the marking words, compiled once per traversal.
-/// Enabledness is `(m & preset) == preset`; firing is clear-preset /
-/// check-postset-overlap / set-postset, one word op per marking word.  On a
-/// 1-safety violation (postset overlap after clearing the preset) the
-/// kernel re-fires through the place loop so the diagnostic names the same
-/// transition and place as the reference.
-class MaskFiring {
+/// One breadth-first traversal: markings packed `words` to a state in one
+/// flat arena indexed by state id, an open-addressing id table
+/// (power-of-two capacity, linear probing, load <= 1/2), and the buffers
+/// for the state being expanded and the one being fired.  Ids are handed
+/// out in discovery order, so the queue is the id range itself:
+/// `for (from = 0; from < size(); ++from) expand(from, ...)`.
+class Sweep {
  public:
-  explicit MaskFiring(const Stg& stg) {
-    const std::size_t words = (static_cast<std::size_t>(stg.num_places()) + 63) / 64;
-    const std::size_t nt = static_cast<std::size_t>(stg.num_transitions());
-    preset_.assign(nt, Marking(words, 0));
-    postset_.assign(nt, Marking(words, 0));
-    has_preset_.assign(nt, false);
-    degenerate_.assign(nt, false);
-    for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-      const std::size_t ti = static_cast<std::size_t>(t);
-      for (const PlaceId p : stg.preset(t)) set_token(preset_[ti], p, true);
-      for (const PlaceId p : stg.postset(t)) {
-        // A duplicate postset arc double-marks its place on every firing;
-        // masks cannot express the duplicate, so route such transitions
-        // through the place loop for the identical diagnostic.
-        if (has_token(postset_[ti], p)) degenerate_[ti] = true;
-        set_token(postset_[ti], p, true);
+  explicit Sweep(const CompiledNet& net)
+      : net_(net), slots_(16, kEmpty), current_(net.words), next_(net.words) {}
+
+  std::uint32_t size() const { return count_; }
+  const Word* at(std::uint32_t id) const { return arena_.data() + id * net_.words; }
+
+  void clear() {
+    arena_.clear();
+    slots_.assign(slots_.size(), kEmpty);
+    count_ = 0;
+  }
+
+  /// The id of `m` and whether this call added it (as id size() - 1).
+  std::pair<std::uint32_t, bool> insert(const Word* m) {
+    if (2 * (static_cast<std::size_t>(count_) + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(m) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t id = slots_[i];
+      if (id == kEmpty) {
+        slots_[i] = count_;
+        arena_.insert(arena_.end(), m, m + net_.words);
+        return {count_++, true};
       }
-      has_preset_[ti] = !stg.preset(t).empty();
+      if (std::equal(m, m + net_.words, at(id))) return {id, false};
     }
   }
 
-  bool enabled(const Stg&, const Marking& m, TransitionId t) const {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    if (!has_preset_[ti]) return false;
-    const Marking& pre = preset_[ti];
-    for (std::size_t w = 0; w < pre.size(); ++w)
-      if ((m[w] & pre[w]) != pre[w]) return false;
-    return true;
+  /// Call `visit(t)` for every transition of `filter` enabled in state
+  /// `from`, in ascending t; returns whether there was any.  The marking
+  /// is copied out first (insertions may move the arena), and candidate
+  /// words live on the stack, so `visit` may insert and fire.
+  template <typename Visit>
+  bool expand(std::uint32_t from, const Word* filter, Visit&& visit) {
+    const std::size_t words = net_.words, twords = net_.twords;
+    std::copy_n(at(from), words, current_.data());
+    const Word* m = current_.data();
+    bool any = false;
+    for (std::size_t tw = 0; tw < twords; ++tw) {
+      Word candidates = 0;
+      for (std::size_t w = 0; w < words; ++w)
+        for (Word marked = m[w]; marked != 0; marked &= marked - 1) {
+          const std::size_t p = w * 64 + static_cast<std::size_t>(std::countr_zero(marked));
+          candidates |= net_.consumers[p * twords + tw];
+        }
+      for (candidates &= filter[tw]; candidates != 0; candidates &= candidates - 1) {
+        const std::size_t t = tw * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
+        const Word* pre = &net_.pre[t * words];
+        bool enabled = true;
+        for (std::size_t w = 0; w < words && enabled; ++w) enabled = (m[w] & pre[w]) == pre[w];
+        if (!enabled) continue;
+        any = true;
+        visit(static_cast<TransitionId>(t));
+      }
+    }
+    return any;
   }
 
-  Marking fire(const Stg& stg, const Marking& m, TransitionId t) const {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    if (degenerate_[ti]) return fire_via_loop(stg, m, t);
-    const Marking& pre = preset_[ti];
-    const Marking& post = postset_[ti];
-    Marking next = m;
-    for (std::size_t w = 0; w < next.size(); ++w) {
-      next[w] &= ~pre[w];
-      if (next[w] & post[w]) return fire_via_loop(stg, m, t);  // 1-safety diagnostic
-      next[w] |= post[w];
+  /// Fire the enabled transition `t` from the state being expanded: clear
+  /// preset, check postset overlap (not 1-safe), set postset, per marking
+  /// word.  The result is valid until the next call.
+  const Word* fire(TransitionId t) {
+    const std::size_t words = net_.words;
+    const Word* m = current_.data();
+    if (test_bit(net_.degenerate.data(), t)) raise_not_1_safe(net_.stg, m, words, t);
+    const Word* pre = &net_.pre[static_cast<std::size_t>(t) * words];
+    const Word* post = &net_.post[static_cast<std::size_t>(t) * words];
+    for (std::size_t w = 0; w < words; ++w) {
+      const Word cleared = m[w] & ~pre[w];
+      if (cleared & post[w]) raise_not_1_safe(net_.stg, m, words, t);
+      next_[w] = cleared | post[w];
     }
-    return next;
+    return next_.data();
   }
 
  private:
-  std::vector<Marking> preset_, postset_;
-  std::vector<bool> has_preset_, degenerate_;
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  /// Word fold with a MurmurHash3 fmix64 finalizer: linear probing needs
+  /// the well-mixed low bits a bare multiply-xor chain does not give.
+  std::size_t hash(const Word* m) const {
+    Word h = 0;
+    for (std::size_t w = 0; w < net_.words; ++w) {
+      h ^= m[w];
+      h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+      h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+      h ^= h >> 33;
+    }
+    return static_cast<std::size_t>(h);
+  }
+
+  void grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < count_; ++id) {
+      std::size_t i = hash(at(id)) & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  const CompiledNet& net_;
+  std::vector<Word> arena_;
+  std::vector<std::uint32_t> slots_;
+  std::uint32_t count_ = 0;
+  std::vector<Word> current_, next_;
 };
 
-/// Eagerly fire every enabled dummy transition until quiescence.  The
-/// closure over all firing orders must converge on a single
-/// dummy-quiescent marking (confusion-free dummies); anything else is
-/// rejected, as is a cycle of dummies.
-template <template <typename> class MapT, typename Firing>
-Marking saturate_dummies(const Stg& stg, const Firing& firing, Marking m) {
-  if (!stg.has_dummies()) return m;
-  MapT<bool> seen;
-  std::deque<Marking> queue;
-  std::vector<Marking> quiescent;
-  seen.emplace(m, true);
-  queue.push_back(std::move(m));
-  while (!queue.empty()) {
-    const Marking current = queue.front();
-    queue.pop_front();
-    bool any = false;
-    for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-      if (!stg.transition(t).is_dummy() || !firing.enabled(stg, current, t)) continue;
-      any = true;
-      Marking next = firing.fire(stg, current, t);
-      if (seen.emplace(next, true).second) queue.push_back(std::move(next));
-    }
-    if (!any) quiescent.push_back(current);
-    NSHOT_REQUIRE_CODE(seen.size() < 10000, ErrorCode::kResourceExhausted,
-                       "STG " + stg.name() + " has a diverging dummy-transition closure");
+/// Eagerly fire every enabled dummy transition from `m` until quiescence,
+/// over `closure`; the result is valid until the next call.  The closure
+/// over all firing orders must converge on a single dummy-quiescent
+/// marking (confusion-free dummies); anything else is rejected, as is a
+/// cycle of dummies.
+const Word* saturate_dummies(const CompiledNet& net, Sweep& closure, const Word* m) {
+  if (!net.has_dummies) return m;
+  closure.clear();
+  closure.insert(m);
+  std::uint32_t quiescent = 0, first_quiescent = 0;
+  for (std::uint32_t id = 0; id < closure.size(); ++id) {
+    const bool any = closure.expand(id, net.dummies.data(),
+                                    [&](TransitionId t) { closure.insert(closure.fire(t)); });
+    if (!any && quiescent++ == 0) first_quiescent = id;
+    NSHOT_REQUIRE_CODE(closure.size() < 10000, ErrorCode::kResourceExhausted,
+                       "STG " + net.stg.name() + " has a diverging dummy-transition closure");
   }
-  NSHOT_REQUIRE(quiescent.size() == 1,
-                "STG " + stg.name() + " has non-confluent (or cyclic) dummy transitions");
-  return quiescent.front();
+  NSHOT_REQUIRE(quiescent == 1, "STG " + net.stg.name() +
+                                    " has non-confluent (or cyclic) dummy transitions");
+  return closure.at(first_quiescent);
 }
 
-template <template <typename> class MapT, typename Firing>
-std::vector<bool> infer_initial_values_impl(const Stg& stg, const ReachabilityOptions& options) {
-  const Firing firing(stg);
-  const int n = stg.num_signals();
+/// Declared values win; the rest come from a sweep over the unsaturated
+/// markings with every transition, stopped once every signal is
+/// resolved: the first edge labelled x in discovery order is a first
+/// firing of x on some path, so its polarity is x's complement at the
+/// start.
+std::vector<bool> resolve_initial_values(const CompiledNet& net,
+                                         const ReachabilityOptions& options) {
+  const Stg& stg = net.stg;
   std::vector<std::optional<bool>> values = stg.declared_initial_values();
   int unresolved = 0;
   for (const auto& v : values)
     if (!v) ++unresolved;
 
   if (unresolved > 0) {
-    // BFS over markings; the first edge labelled with signal x (popping
-    // markings in BFS order) is a first firing of x on some path, so its
-    // polarity determines the initial value.
-    MapT<bool> seen;
-    std::deque<Marking> queue;
-    const Marking initial = pack(stg.initial_marking());
-    seen.emplace(initial, true);
-    queue.push_back(initial);
-    while (!queue.empty() && unresolved > 0) {
+    Sweep sweep(net);
+    sweep.insert(net.initial.data());
+    for (std::uint32_t from = 0; from < sweep.size() && unresolved > 0; ++from) {
       exec::checkpoint();
-      NSHOT_REQUIRE_CODE(seen.size() <= options.max_states, ErrorCode::kResourceExhausted,
+      NSHOT_REQUIRE_CODE(sweep.size() <= options.max_states, ErrorCode::kResourceExhausted,
                          "STG " + stg.name() + " exceeds the reachability state cap");
-      const Marking m = queue.front();
-      queue.pop_front();
-      for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-        if (!firing.enabled(stg, m, t)) continue;
+      sweep.expand(from, net.all.data(), [&](TransitionId t) {
         const StgTransition& tr = stg.transition(t);
         if (!tr.is_dummy()) {
           auto& value = values[static_cast<std::size_t>(tr.signal)];
@@ -215,58 +253,30 @@ std::vector<bool> infer_initial_values_impl(const Stg& stg, const ReachabilityOp
             --unresolved;
           }
         }
-        Marking next = firing.fire(stg, m, t);
-        const auto [it, inserted] = seen.emplace(std::move(next), true);
-        if (inserted) queue.push_back(it->first);
-      }
+        sweep.insert(sweep.fire(t));
+      });
     }
   }
 
-  std::vector<bool> result(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    NSHOT_REQUIRE(values[static_cast<std::size_t>(i)].has_value(),
-                  "signal " + stg.signal(i).name +
-                      " never fires; declare its initial value with .init");
-    result[static_cast<std::size_t>(i)] = *values[static_cast<std::size_t>(i)];
+  std::vector<bool> result(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    NSHOT_REQUIRE(values[i].has_value(), "signal " + stg.signal(static_cast<int>(i)).name +
+                                             " never fires; declare its initial value with .init");
+    result[i] = *values[i];
   }
   return result;
 }
 
-template <template <typename> class MapT, typename Firing>
-std::vector<TransitionId> dead_transitions_impl(const Stg& stg,
-                                                const ReachabilityOptions& options) {
-  const Firing firing(stg);
-  std::vector<bool> fired(static_cast<std::size_t>(stg.num_transitions()), false);
-  MapT<bool> seen;
-  std::deque<Marking> queue;
-  const Marking initial = pack(stg.initial_marking());
-  seen.emplace(initial, true);
-  queue.push_back(initial);
-  while (!queue.empty()) {
-    exec::checkpoint();
-    NSHOT_REQUIRE_CODE(seen.size() <= options.max_states, ErrorCode::kResourceExhausted,
-                       "STG " + stg.name() + " exceeds the reachability state cap");
-    const Marking m = queue.front();
-    queue.pop_front();
-    for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-      if (!firing.enabled(stg, m, t)) continue;
-      fired[static_cast<std::size_t>(t)] = true;
-      Marking next = firing.fire(stg, m, t);
-      const auto [it, inserted] = seen.emplace(std::move(next), true);
-      if (inserted) queue.push_back(it->first);
-    }
-  }
-  std::vector<TransitionId> dead;
-  for (TransitionId t = 0; t < stg.num_transitions(); ++t)
-    if (!fired[static_cast<std::size_t>(t)]) dead.push_back(t);
-  return dead;
+}  // namespace
+
+std::vector<bool> infer_initial_values(const Stg& stg, const ReachabilityOptions& options) {
+  return resolve_initial_values(CompiledNet(stg), options);
 }
 
-template <template <typename> class MapT, typename Firing>
-sg::StateGraph build_state_graph_impl(const Stg& stg, const ReachabilityOptions& options) {
+sg::StateGraph build_state_graph(const Stg& stg, const ReachabilityOptions& options) {
   const obs::Span reach_span("reachability");
-  const Firing firing(stg);
-  const std::vector<bool> initial_values = infer_initial_values_impl<MapT, Firing>(stg, options);
+  const CompiledNet net(stg);
+  const std::vector<bool> initial_values = resolve_initial_values(net, options);
 
   sg::StateGraph graph(stg.name());
   for (int i = 0; i < stg.num_signals(); ++i) {
@@ -280,24 +290,18 @@ sg::StateGraph build_state_graph_impl(const Stg& stg, const ReachabilityOptions&
   for (std::size_t i = 0; i < initial_values.size(); ++i)
     if (initial_values[i]) initial_code |= (1ULL << i);
 
-  MapT<sg::StateId> ids;
-  std::deque<Marking> queue;
-  const Marking initial = saturate_dummies<MapT>(stg, firing, pack(stg.initial_marking()));
-  ids.emplace(initial, graph.add_state(initial_code));
-  graph.set_initial(0);
-  queue.push_back(initial);
+  // The same sweep over dummy-saturated markings with the labelled
+  // transitions (saturation leaves no dummy enabled).
+  Sweep sweep(net), closure(net);
+  sweep.insert(saturate_dummies(net, closure, net.initial.data()));
+  graph.set_initial(graph.add_state(initial_code));
 
-  while (!queue.empty()) {
+  for (std::uint32_t from = 0; from < sweep.size(); ++from) {
     exec::checkpoint();
-    const Marking m = queue.front();
-    queue.pop_front();
-    const sg::StateId from = ids.at(m);
-    const std::uint64_t code = graph.code(from);
-
-    for (TransitionId t = 0; t < stg.num_transitions(); ++t) {
-      if (!firing.enabled(stg, m, t)) continue;
+    const auto source = static_cast<sg::StateId>(from);
+    const std::uint64_t code = graph.code(source);
+    sweep.expand(from, net.labelled.data(), [&](TransitionId t) {
       const StgTransition& tr = stg.transition(t);
-      if (tr.is_dummy()) continue;  // eliminated by eager saturation below
       const std::uint64_t bit = 1ULL << tr.signal;
       NSHOT_REQUIRE(((code & bit) != 0) != tr.rising,
                     "STG " + stg.name() + " is inconsistent: " + stg.transition_name(t) +
@@ -305,52 +309,31 @@ sg::StateGraph build_state_graph_impl(const Stg& stg, const ReachabilityOptions&
                         (tr.rising ? "1" : "0"));
       const std::uint64_t next_code = tr.rising ? (code | bit) : (code & ~bit);
 
-      Marking next = saturate_dummies<MapT>(stg, firing, firing.fire(stg, m, t));
-      const auto [it, inserted] = ids.emplace(std::move(next), -1);
+      const auto [id, inserted] = sweep.insert(saturate_dummies(net, closure, sweep.fire(t)));
+      const auto to = static_cast<sg::StateId>(id);
       if (inserted) {
-        NSHOT_REQUIRE_CODE(ids.size() <= options.max_states, ErrorCode::kResourceExhausted,
+        NSHOT_REQUIRE_CODE(sweep.size() <= options.max_states, ErrorCode::kResourceExhausted,
                            "STG " + stg.name() + " exceeds the reachability state cap");
-        it->second = graph.add_state(next_code);
-        queue.push_back(it->first);
+        graph.add_state(next_code);
       } else {
-        NSHOT_REQUIRE(graph.code(it->second) == next_code,
+        NSHOT_REQUIRE(graph.code(to) == next_code,
                       "STG " + stg.name() +
                           " is inconsistent: one marking is reached with two different codes");
       }
 
       const sg::TransitionLabel label{tr.signal, tr.rising};
-      const auto existing = graph.successor(from, label);
+      const auto existing = graph.successor(source, label);
       if (existing) {
-        NSHOT_REQUIRE(*existing == it->second,
+        NSHOT_REQUIRE(*existing == to,
                       "STG " + stg.name() + " maps label " + stg.transition_name(t) +
                           " to two successors of one state (not SG-deterministic)");
       } else {
-        graph.add_edge(from, label, it->second);
+        graph.add_edge(source, label, to);
       }
-    }
+    });
   }
   obs::count(obs::Counter::kStatesVisited, graph.num_states());
   return graph;
-}
-
-}  // namespace
-
-std::vector<bool> infer_initial_values(const Stg& stg, const ReachabilityOptions& options) {
-  return options.reference_maps
-             ? infer_initial_values_impl<OrderedMarkingMap, LoopFiring>(stg, options)
-             : infer_initial_values_impl<HashedMarkingMap, MaskFiring>(stg, options);
-}
-
-std::vector<TransitionId> dead_transitions(const Stg& stg, const ReachabilityOptions& options) {
-  return options.reference_maps
-             ? dead_transitions_impl<OrderedMarkingMap, LoopFiring>(stg, options)
-             : dead_transitions_impl<HashedMarkingMap, MaskFiring>(stg, options);
-}
-
-sg::StateGraph build_state_graph(const Stg& stg, const ReachabilityOptions& options) {
-  return options.reference_maps
-             ? build_state_graph_impl<OrderedMarkingMap, LoopFiring>(stg, options)
-             : build_state_graph_impl<HashedMarkingMap, MaskFiring>(stg, options);
 }
 
 }  // namespace nshot::stg

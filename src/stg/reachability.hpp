@@ -12,6 +12,13 @@
 // standard instantaneous-dummy abstraction; it assumes dummies are
 // confusion-free (they do not compete with labelled transitions for
 // tokens), and rejects non-confluent or cyclic dummy structures.
+//
+// Both entry points run one breadth-first sweep over a flat arena of
+// packed markings: a state's id is its discovery index, so the queue is
+// the id range itself, and only transitions whose first preset place is
+// marked are tested.  The ordered-map traversal it replaced is the
+// test-only oracle in tests/oracles/reachability_reference.hpp, which
+// must build the same graphs and throw the same diagnostics.
 #pragma once
 
 #include "sg/state_graph.hpp"
@@ -22,14 +29,6 @@ namespace nshot::stg {
 struct ReachabilityOptions {
   /// Abort if the marking graph exceeds this many states.
   std::size_t max_states = 1u << 20;
-  /// Track visited markings in ordered std::map and fire transitions by
-  /// place-at-a-time loops instead of the hashed-map + mask-compiled word
-  /// firing hot path — for kernel equivalence tests and benchmarking only.
-  /// State numbering follows BFS discovery order (queue-driven, never map
-  /// iteration order) and the mask kernel falls back to the loop firing on
-  /// 1-safety violations for identical diagnostics, so both paths build
-  /// identical graphs and throw identical errors.
-  bool reference_maps = false;
 };
 
 /// Infer the initial signal values (declared values win; otherwise first
@@ -39,11 +38,8 @@ std::vector<bool> infer_initial_values(const Stg& stg, const ReachabilityOptions
 
 /// Build the reachable state graph.  Input signals of the STG become SG
 /// input signals; output and internal signals become SG non-input signals.
+/// States are numbered in breadth-first discovery order from the initial
+/// marking, and each state's edges follow transition id order.
 sg::StateGraph build_state_graph(const Stg& stg, const ReachabilityOptions& options = {});
-
-/// Liveness diagnostic: transitions that never fire in the reachability
-/// graph (empty = every transition is fireable at least once).
-std::vector<TransitionId> dead_transitions(const Stg& stg,
-                                           const ReachabilityOptions& options = {});
 
 }  // namespace nshot::stg

@@ -3,13 +3,15 @@
 // original reference implementation it replaced.  The reference paths are
 // compiled in behind options flags (ConformanceOptions::reference_kernels,
 // StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
-// ReachabilityOptions::reference_maps, compute_regions_reference), so the
-// comparison runs over randomly generated controllers in one binary.
+// compute_regions_reference) or linked from the test-only oracles
+// (stg::reference reachability), so the comparison runs over randomly
+// generated controllers in one binary.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "logic/verify.hpp"
 #include "nshot/synthesis.hpp"
 #include "nshot/trigger.hpp"
+#include "oracles/reachability_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
@@ -80,7 +83,10 @@ struct Generated {
   core::SynthesisResult result;
 };
 
-std::optional<Generated> generate(int seed) {
+/// Number of KernelEquivalenceTest parameters (seeds 1..kSeeds).
+constexpr int kSeeds = 12;
+
+std::optional<Generated> draw(int seed) {
   sg::StateGraph graph = bench_suite::build_g(random_g_text(seed));
   if (graph.noninput_signals().empty()) return std::nullopt;
   try {
@@ -89,6 +95,15 @@ std::optional<Generated> generate(int seed) {
   } catch (const Error&) {
     return std::nullopt;  // draw is not implementable (e.g. CSC conflict)
   }
+}
+
+/// The controller of parameter `param`: the first implementable draw over
+/// the seeds param, param + kSeeds, param + 2 kSeeds, ... — never a seed of
+/// another parameter, so every parameter tests a distinct circuit.
+Generated generate(int param) {
+  for (int attempt = 0; attempt < 64; ++attempt)
+    if (std::optional<Generated> gen = draw(param + attempt * kSeeds)) return std::move(*gen);
+  throw std::runtime_error("no implementable draw for parameter " + std::to_string(param));
 }
 
 std::string conformance_fingerprint(const sim::ConformanceReport& r) {
@@ -118,8 +133,7 @@ std::string sg_fingerprint(const sg::StateGraph& g) {
 class KernelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 13 + 7;
@@ -128,10 +142,10 @@ TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
 
   options.reference_kernels = true;
   const sim::ConformanceReport reference =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
   options.reference_kernels = false;
   const sim::ConformanceReport compiled =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
 
   EXPECT_EQ(conformance_fingerprint(reference), conformance_fingerprint(compiled));
 }
@@ -140,11 +154,10 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
   // One TrialRunner reused across runs must reproduce what a fresh
   // reference Simulator produces for each run — the runner's reset() and
   // settle cache have to be equivalent to reconstruction.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
-  const sim::CompiledNetlist compiled(gen->result.circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, gen->result.circuit);
+  const sim::CompiledNetlist compiled(gen.result.circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(gen.graph, gen.result.circuit);
   sim::TrialRunner reuse(compiled);
 
   for (int r = 0; r < 4; ++r) {
@@ -153,16 +166,15 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
     config.sim.randomize_delays = true;
     config.max_transitions = 60;
     const sim::ConformanceReport fresh =
-        sim::run_closed_loop(gen->graph, gen->result.circuit, config);
+        sim::run_closed_loop(gen.graph, gen.result.circuit, config);
     const sim::ConformanceReport reused =
-        reuse.run(gen->graph, binding, config);
+        reuse.run(gen.graph, binding, config);
     EXPECT_EQ(conformance_fingerprint(fresh), conformance_fingerprint(reused)) << "run " << r;
   }
 }
 
 TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   faults::StressOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 5 + 3;
@@ -174,10 +186,10 @@ TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
 
   options.reference_kernels = true;
   const std::string reference = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "keq", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
   options.reference_kernels = false;
   const std::string compiled = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "keq", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
 
   EXPECT_EQ(reference, compiled);
 }
@@ -216,48 +228,75 @@ TEST_P(KernelEquivalenceTest, ExactMinimizeMatchesReferenceSets) {
   }
 }
 
+/// The flat-arena sweep against the ordered-map oracle: the whole graph
+/// (ids, edge order, codes) and the inferred initial values.
+void expect_reachability_matches_reference(const std::string& g_text) {
+  const stg::Stg net = stg::parse_g(g_text);
+  EXPECT_EQ(sg_fingerprint(stg::reference::build_state_graph(net)),
+            sg_fingerprint(stg::build_state_graph(net)));
+  EXPECT_EQ(stg::reference::infer_initial_values(net), stg::infer_initial_values(net));
+}
+
 TEST_P(KernelEquivalenceTest, ReachabilityMatchesReferenceMaps) {
-  const stg::Stg net = stg::parse_g(random_g_text(GetParam()));
-
-  stg::ReachabilityOptions options;
-  options.reference_maps = true;
-  const sg::StateGraph reference = stg::build_state_graph(net, options);
-  const std::vector<bool> reference_values = stg::infer_initial_values(net, options);
-  const std::vector<stg::TransitionId> reference_dead = stg::dead_transitions(net, options);
-  options.reference_maps = false;
-  const sg::StateGraph hashed = stg::build_state_graph(net, options);
-  const std::vector<bool> hashed_values = stg::infer_initial_values(net, options);
-  const std::vector<stg::TransitionId> hashed_dead = stg::dead_transitions(net, options);
-
-  EXPECT_EQ(sg_fingerprint(reference), sg_fingerprint(hashed));
-  EXPECT_EQ(reference_values, hashed_values);
-  EXPECT_EQ(reference_dead, hashed_dead);
+  expect_reachability_matches_reference(random_g_text(GetParam()));
 }
 
 TEST(KernelEquivalenceFixedTest, ReachabilityWithDummiesMatchesReferenceMaps) {
-  // Dummy saturation walks its own marking map; exercise it explicitly.
-  const stg::Stg net = stg::parse_g(
+  // Dummy saturation walks its own marking table; exercise it explicitly.
+  expect_reachability_matches_reference(
       ".model dum\n.inputs a\n.outputs b\n.dummy d\n.graph\n"
       "a+ d\nd b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n");
-  stg::ReachabilityOptions options;
-  options.reference_maps = true;
-  const sg::StateGraph reference = stg::build_state_graph(net, options);
-  options.reference_maps = false;
-  const sg::StateGraph hashed = stg::build_state_graph(net, options);
-  EXPECT_EQ(sg_fingerprint(reference), sg_fingerprint(hashed));
+}
+
+TEST(KernelEquivalenceFixedTest, ReachabilityMultiWordRingMatchesReferenceMaps) {
+  // 40 signals in one sequential ring: 80 places and 80 transitions, so
+  // both the marking and the candidate masks span two words.
+  std::vector<std::string> inputs, outputs;
+  std::vector<std::vector<std::string>> stages;
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = "x" + std::to_string(i);
+    (i % 2 == 0 ? inputs : outputs).push_back(name);
+    stages.push_back({name + "+"});
+  }
+  for (int i = 0; i < 40; ++i) stages.push_back({"x" + std::to_string(i) + "-"});
+  const std::string g_text = bench_suite::staged_cycle_g("ring40", inputs, outputs, stages);
+  const stg::Stg net = stg::parse_g(g_text);
+  ASSERT_EQ(net.num_places(), 80);
+  ASSERT_EQ(net.num_transitions(), 80);
+  EXPECT_EQ(stg::build_state_graph(net).num_states(), 80);
+  expect_reachability_matches_reference(g_text);
+}
+
+TEST(KernelEquivalenceFixedTest, ReachabilityTable2ChainsMatchReferenceMaps) {
+  // The two largest Table 2 reachability graphs, from the same
+  // parallel_chains_g texts as the benchmark suite.
+  std::vector<std::vector<std::string>> brk_chains;
+  std::vector<std::string> brk_inputs, brk_outputs;
+  for (int i = 1; i <= 11; ++i) {
+    const std::string b = "b" + std::to_string(i);
+    brk_chains.push_back({b});
+    (i <= 5 ? brk_inputs : brk_outputs).push_back(b);
+  }
+  expect_reachability_matches_reference(bench_suite::parallel_chains_g(
+      "tsbmsiBRK", "m", true, brk_chains, brk_inputs, brk_outputs));
+  expect_reachability_matches_reference(bench_suite::parallel_chains_g(
+      "master-read", "m", true,
+      {{"r1", "p1", "q1"}, {"r2", "p2", "q2"}, {"r3", "p3", "q3"}, {"r4", "p4", "q4"},
+       {"r5", "p5", "q5"}},
+      {"r1", "r2", "r3", "r4", "r5"},
+      {"p1", "q1", "p2", "q2", "p3", "q3", "p4", "q4", "p5", "q5"}));
 }
 
 TEST_P(KernelEquivalenceTest, RegionsMatchReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
-  for (const sg::SignalId a : gen->graph.noninput_signals()) {
-    const sg::SignalRegions fast = sg::compute_regions(gen->graph, a);
-    const sg::SignalRegions reference = sg::compute_regions_reference(gen->graph, a);
-    EXPECT_EQ(reference.to_string(gen->graph), fast.to_string(gen->graph)) << "signal " << a;
+  for (const sg::SignalId a : gen.graph.noninput_signals()) {
+    const sg::SignalRegions fast = sg::compute_regions(gen.graph, a);
+    const sg::SignalRegions reference = sg::compute_regions_reference(gen.graph, a);
+    EXPECT_EQ(reference.to_string(gen.graph), fast.to_string(gen.graph)) << "signal " << a;
     for (const sg::ExcitationRegion& er : fast.regions) {
-      EXPECT_TRUE(sg::verify_output_trapping(gen->graph, er));
-      EXPECT_TRUE(sg::verify_trigger_reachability(gen->graph, er));
+      EXPECT_TRUE(sg::verify_output_trapping(gen.graph, er));
+      EXPECT_TRUE(sg::verify_trigger_reachability(gen.graph, er));
     }
   }
 }
@@ -266,9 +305,8 @@ TEST_P(KernelEquivalenceTest, CodingChecksMatchOrderedReference) {
   // check_csc / check_usc / detonant_states run over sorted vectors,
   // hashed maps and excitation bit planes; compare against the compiled-in
   // ordered-container reference implementations of the originals.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const sg::StateGraph& g = gen->graph;
+  const Generated gen = generate(GetParam());
+  const sg::StateGraph& g = gen.graph;
 
   EXPECT_EQ(sg::check_usc_reference(g).violations, sg::check_usc(g).violations);
   EXPECT_EQ(sg::check_csc_reference(g).violations, sg::check_csc(g).violations);
@@ -283,19 +321,18 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
   // to one supercube-containment test per cube; the repair decisions and
   // the resulting cover must be identical.  Thin the cover cube by cube so
   // the not-covered repair path runs too.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const std::vector<sg::SignalRegions> regions = sg::compute_all_regions(gen->graph);
+  const Generated gen = generate(GetParam());
+  const std::vector<sg::SignalRegions> regions = sg::compute_all_regions(gen.graph);
 
   auto report_fingerprint = [&](const core::TriggerReport& r) {
     std::string out = std::to_string(r.cubes_added);
-    for (const core::TriggerIssue& issue : r.issues) out += "|" + issue.describe(gen->graph);
+    for (const core::TriggerIssue& issue : r.issues) out += "|" + issue.describe(gen.graph);
     return out;
   };
 
-  const std::size_t cover_size = gen->result.cover.size();
+  const std::size_t cover_size = gen.result.cover.size();
   for (std::size_t drop = 0; drop <= cover_size; ++drop) {
-    logic::Cover thinned = gen->result.cover;
+    logic::Cover thinned = gen.result.cover;
     if (drop < cover_size) thinned.erase(drop);
 
     logic::Cover reference_cover = thinned;
@@ -303,10 +340,10 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
     core::TriggerOptions options;
     options.reference_kernels = true;
     const core::TriggerReport reference = core::enforce_trigger_requirement(
-        gen->graph, regions, gen->result.derived, reference_cover, options);
+        gen.graph, regions, gen.result.derived, reference_cover, options);
     options.reference_kernels = false;
     const core::TriggerReport fast = core::enforce_trigger_requirement(
-        gen->graph, regions, gen->result.derived, fast_cover, options);
+        gen.graph, regions, gen.result.derived, fast_cover, options);
 
     EXPECT_EQ(report_fingerprint(reference), report_fingerprint(fast)) << "drop " << drop;
     EXPECT_EQ(reference_cover.to_string(), fast_cover.to_string()) << "drop " << drop;
@@ -317,9 +354,8 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
   // verify_cover was rewritten bit-sliced over code planes; both the ok
   // verdict and the first-violation diagnostic must match the
   // minterm-at-a-time reference, including on deliberately broken covers.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const logic::TwoLevelSpec& spec = gen->result.derived.spec;
+  const Generated gen = generate(GetParam());
+  const logic::TwoLevelSpec& spec = gen.result.derived.spec;
 
   auto compare = [&spec](const logic::Cover& cover, const std::string& what) {
     const logic::VerifyResult reference = logic::verify_cover_reference(spec, cover);
@@ -328,14 +364,14 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
     EXPECT_EQ(reference.message, fast.message) << what;
   };
 
-  compare(gen->result.cover, "intact cover");
-  for (std::size_t drop = 0; drop < gen->result.cover.size(); ++drop) {
-    logic::Cover broken = gen->result.cover;
+  compare(gen.result.cover, "intact cover");
+  for (std::size_t drop = 0; drop < gen.result.cover.size(); ++drop) {
+    logic::Cover broken = gen.result.cover;
     broken.erase(drop);
     compare(broken, "cover without cube " + std::to_string(drop));
   }
   // A universal cube on every output trips the off-set check.
-  logic::Cover greedy = gen->result.cover;
+  logic::Cover greedy = gen.result.cover;
   greedy.add(logic::Cube::full(spec.num_inputs(),
                                (spec.num_outputs() >= 64)
                                    ? ~0ULL
@@ -344,9 +380,8 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
 }
 
 TEST_P(KernelEquivalenceTest, CscSolverMatchesReferenceKernels) {
-  // The solver's conflict counting (and the reachability it drives) runs
-  // count-only and mask-compiled; the chosen insertions and the final
-  // graph must be identical to the reference-kernel run.
+  // The solver's conflict counting runs count-only; the chosen insertions
+  // and the final graph must be identical to the reference-kernel run.
   const stg::Stg net = stg::parse_g(random_g_text(GetParam()));
 
   csc::CscSolveOptions options;
@@ -369,7 +404,7 @@ TEST_P(KernelEquivalenceTest, CscSolverMatchesReferenceKernels) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceTest, ::testing::Range(1, 13));
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceTest, ::testing::Range(1, kSeeds + 1));
 
 }  // namespace
 }  // namespace nshot

@@ -13,6 +13,9 @@ Checks, in order:
      reports — the correctness gate the speedups are conditional on);
   2. every top-level speedup ratio present in both files must satisfy
          fresh >= committed * (1 - tolerance);
+     largest_tier_combined_speedup only when both files' largest (last)
+     case is the same tier — a smoke run's small top tier is no
+     measurement of the committed file's large one;
   3. every per-case ratio (cases matched by "name" — a smoke run measures
      a subset of the committed tiers, unmatched cases are skipped) must
      satisfy the same floor.
@@ -40,10 +43,19 @@ RATIO_KEYS = (
 )
 
 # Ratios gated per case row (matched by "name" across the two files).
-# combined_speedup gates BENCH_scale tiers; calendar_over_heap and
-# adaptive_over_heap gate BENCH_queue_scaling tiers (heap_ms/engine_ms —
-# in-run ratios like everything else here).
-CASE_RATIO_KEYS = ("combined_speedup", "calendar_over_heap", "adaptive_over_heap")
+# combined_speedup and reachability_speedup gate BENCH_scale tiers;
+# calendar_over_heap and adaptive_over_heap gate BENCH_queue_scaling tiers
+# (heap_ms/engine_ms — in-run ratios like everything else here).
+CASE_RATIO_KEYS = (
+    "combined_speedup",
+    "reachability_speedup",
+    "calendar_over_heap",
+    "adaptive_over_heap",
+)
+
+# Top-level ratios measured on the file's largest tier, not on a fixed
+# workload: gated only when both files' largest tier is the same one.
+LARGEST_TIER_KEYS = ("largest_tier_combined_speedup",)
 
 
 def case_rows(doc):
@@ -76,9 +88,19 @@ def main():
     if fresh.get("byte_identical") is not True:
         failures.append("fresh run does not assert byte_identical — engines diverged")
 
+    def largest_tier(doc):
+        rows = case_rows(doc)
+        return rows[-1]["name"] if rows else None
+
     for key in RATIO_KEYS:
         if key not in committed or key not in fresh:
             continue  # ratio introduced/retired across versions: nothing to compare
+        if key in LARGEST_TIER_KEYS and largest_tier(committed) != largest_tier(fresh):
+            print(
+                f"{key:32s} skipped: largest tier {largest_tier(fresh)} "
+                f"vs committed {largest_tier(committed)}"
+            )
+            continue
         want = committed[key] * (1.0 - args.tolerance)
         got = fresh[key]
         status = "ok" if got >= want else "REGRESSED"

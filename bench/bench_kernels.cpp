@@ -1,10 +1,10 @@
 // Compiled-kernel layer: single-thread speedup and equivalence measurement.
 //
-// Every hot path of the kernel layer keeps its original implementation
-// compiled in behind a reference flag (ConformanceOptions::reference_kernels,
-// StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
-// compute_regions_reference) or in the test-only oracles (stg::reference
-// reachability, linked from tests/oracles).  For each
+// Every hot path of the kernel layer has one production implementation and
+// one reference: either the frozen request-schema behaviour behind the
+// `reference_kernels` options field (ConformanceOptions, StressOptions,
+// ExactOptions) or a test-only oracle linked from tests/oracles
+// (stg::reference reachability, sg::reference::compute_regions).  For each
 // benchmark circuit this harness runs the Monte Carlo conformance sweep and
 // the full stress campaign once through the reference path (per-trial
 // compile, heap-queue Simulator) and once through the production path
@@ -17,24 +17,14 @@
 //
 // `--smoke` shrinks every workload for CI sanity runs; the JSON records the
 // flag so smoke numbers are never mistaken for measurements.
-//
-// `--baseline FILE` additionally compares the compiled-path times against a
-// BENCH_parallel.json produced by a pre-kernel-layer build (its jobs=1
-// workload is identical to this harness's), reporting the cross-build
-// speedup the in-binary reference comparison cannot see: the reference
-// flags restore the old algorithms and per-trial construction, but both
-// paths share the rewritten event loop.
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timer.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generators.hpp"
 #include "exec/thread_pool.hpp"
@@ -43,6 +33,7 @@
 #include "nshot/synthesis.hpp"
 #include "obs/obs.hpp"
 #include "oracles/reachability_reference.hpp"
+#include "oracles/sg_reference.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
 #include "stg/g_format.hpp"
@@ -53,40 +44,7 @@
 namespace {
 
 using namespace nshot;
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Wall-clock minimum over repeated samples — the minimum is the standard
-/// noise filter on a busy single-core host.  Legs under comparison must
-/// interleave their samples (ref, fast, ref, fast, ...) so a load spike
-/// lands on both rather than poisoning one leg's whole window.  The
-/// sample standard deviation is reported alongside the minimum: a row
-/// whose sd rivals its min was measured through noise and should not gate
-/// anything.
-struct MinTimer {
-  double best = 0.0;
-  double sum = 0.0, sumsq = 0.0;
-  int n = 0;
-  template <typename Body>
-  void sample(Body&& body) {
-    const auto t0 = Clock::now();
-    body();
-    const double ms = ms_since(t0);
-    if (n++ == 0 || ms < best) best = ms;
-    sum += ms;
-    sumsq += ms * ms;
-  }
-  double mean() const { return n > 0 ? sum / n : 0.0; }
-  double sd() const {
-    if (n < 2) return 0.0;
-    const double m = mean();
-    return std::sqrt(std::max(0.0, (sumsq - static_cast<double>(n) * m * m) /
-                                       static_cast<double>(n - 1)));
-  }
-};
+using bench::MinTimer;
 
 std::string conformance_fingerprint(const sim::ConformanceReport& r) {
   std::ostringstream out;
@@ -306,7 +264,7 @@ KernelTiming measure_reachability(bool smoke) {
 }
 
 /// Region computation: word-packed planes and bit floods vs the ordered
-/// std::set / std::map reference, over the benchmark suite.
+/// std::set / std::map oracle, over the benchmark suite.
 KernelTiming measure_regions(bool smoke) {
   std::vector<sg::StateGraph> graphs;
   for (const char* name : {"chu133", "converta", "vbe5b", "read-write"})
@@ -332,7 +290,7 @@ KernelTiming measure_regions(bool smoke) {
       for (int i = 0; i < repeats; ++i)
         for (const sg::StateGraph& g : graphs)
           for (const sg::SignalId a : g.noninput_signals())
-            reference_regions += sg::compute_regions_reference(g, a).regions.size();
+            reference_regions += sg::reference::compute_regions(g, a).regions.size();
     });
     fast_t.sample([&] {
       fast_regions = 0;
@@ -350,7 +308,7 @@ KernelTiming measure_regions(bool smoke) {
   timing.identical = reference_regions == fast_regions;
   for (const sg::StateGraph& g : graphs)
     for (const sg::SignalId a : g.noninput_signals())
-      timing.identical = timing.identical && sg::compute_regions_reference(g, a).to_string(g) ==
+      timing.identical = timing.identical && sg::reference::compute_regions(g, a).to_string(g) ==
                                                  sg::compute_regions(g, a).to_string(g);
   return timing;
 }
@@ -396,50 +354,12 @@ ObsTiming measure_obs(bool smoke) {
   return timing;
 }
 
-/// A jobs=1 measurement from a pre-kernel-layer build of bench_parallel
-/// (same workload as measure() above).
-struct BaselineCase {
-  std::string name;
-  double conf_ms = 0, stress_ms = 0;
-};
-
-/// Minimal extraction from BENCH_parallel.json: per-case name plus the two
-/// serial times.  Tolerant of field order as long as the times follow the
-/// name within the case object.
-std::vector<BaselineCase> load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::vector<BaselineCase> cases;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"name\": \"", pos)) != std::string::npos) {
-    pos += 9;
-    const std::size_t end = text.find('"', pos);
-    if (end == std::string::npos) break;
-    BaselineCase c;
-    c.name = text.substr(pos, end - pos);
-    auto number_after = [&](const char* key) {
-      const std::size_t k = text.find(key, end);
-      return k == std::string::npos ? 0.0
-                                    : std::strtod(text.c_str() + k + std::strlen(key), nullptr);
-    };
-    c.conf_ms = number_after("\"conformance_serial_ms\": ");
-    c.stress_ms = number_after("\"stress_serial_ms\": ");
-    cases.push_back(std::move(c));
-    pos = end;
-  }
-  return cases;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = "BENCH_kernels.json";
-  const char* usage = "usage: bench_kernels [--smoke] [--baseline FILE] [OUT.json]\n";
-  std::string baseline_path;
+  const char* usage = "usage: bench_kernels [--smoke] [OUT.json]\n";
   bool have_out = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -449,12 +369,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --baseline needs a value\n%s", usage);
-        return 2;
-      }
-      baseline_path = argv[++i];
     } else if (arg.empty() || arg[0] == '-' || have_out) {
       std::fprintf(stderr, "error: unexpected argument '%s'\n%s", argv[i], usage);
       return 2;
@@ -463,7 +377,6 @@ int main(int argc, char** argv) {
       have_out = true;
     }
   }
-  const std::vector<BaselineCase> baseline = load_baseline(baseline_path);
 
   const int hardware = exec::hardware_jobs();
   std::printf("Kernel bench: reference vs compiled paths, jobs=1%s\n\n",
@@ -519,29 +432,6 @@ int main(int argc, char** argv) {
       "(single thread, %d hardware threads)\n",
       conf_speedup, stress_speedup, total_speedup, hardware);
 
-  // Cross-build comparison against a pre-kernel-layer bench_parallel run.
-  double base_conf = 0, base_stress = 0, base_conf_compiled = 0, base_stress_compiled = 0;
-  for (const BaselineCase& b : baseline) {
-    for (const CaseTiming& t : timings) {
-      if (t.name != b.name) continue;
-      base_conf += b.conf_ms;
-      base_stress += b.stress_ms;
-      base_conf_compiled += t.conf_compiled_ms;
-      base_stress_compiled += t.stress_compiled_ms;
-    }
-  }
-  const bool have_baseline = base_conf_compiled > 0 && base_stress_compiled > 0;
-  const double vs_base_conf = have_baseline ? base_conf / base_conf_compiled : 0;
-  const double vs_base_stress = have_baseline ? base_stress / base_stress_compiled : 0;
-  const double vs_base_total =
-      have_baseline
-          ? (base_conf + base_stress) / (base_conf_compiled + base_stress_compiled)
-          : 0;
-  if (have_baseline)
-    std::printf(
-        "vs pre-kernel build (%s): conformance %.2fx, stress %.2fx, combined %.2fx\n",
-        baseline_path.c_str(), vs_base_conf, vs_base_stress, vs_base_total);
-
   std::ostringstream json;
   json << "{\n  \"hardware_jobs\": " << hardware << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"byte_identical\": " << (all_identical ? "true" : "false")
@@ -580,14 +470,7 @@ int main(int argc, char** argv) {
   json << "  ],\n  \"observability\": {\"disabled_ms\": " << obs_timing.disabled_ms
        << ", \"enabled_ms\": " << obs_timing.enabled_ms
        << ", \"overhead_pct\": " << obs_timing.overhead_pct() << ", "
-       << obs_timing.passes_fragment << "}";
-  if (have_baseline) {
-    json << ",\n  \"baseline\": {\n    \"path\": \"" << baseline_path
-         << "\",\n    \"conformance_speedup\": " << vs_base_conf
-         << ",\n    \"stress_speedup\": " << vs_base_stress
-         << ",\n    \"total_speedup\": " << vs_base_total << "\n  }";
-  }
-  json << "\n}\n";
+       << obs_timing.passes_fragment << "}\n}\n";
   std::ofstream(out_path) << json.str();
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -10,15 +10,13 @@
 // The speedup number is only meaningful on a multi-core host; the JSON
 // records `hardware_jobs` so CI (which regenerates this file on an 8-core
 // runner) and a laptop run can be told apart.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timer.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "exec/thread_pool.hpp"
 #include "faults/stress.hpp"
@@ -29,37 +27,7 @@
 namespace {
 
 using namespace nshot;
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Min-of-N wall clock with sample standard deviation (same methodology
-/// as bench_kernels: the minimum filters scheduler noise, the sd reports
-/// how noisy the window was).  The serial and parallel legs interleave
-/// their samples so a load spike lands on both.
-struct MinTimer {
-  double best = 0.0;
-  double sum = 0.0, sumsq = 0.0;
-  int n = 0;
-  template <typename Body>
-  void sample(Body&& body) {
-    const auto t0 = Clock::now();
-    body();
-    const double ms = ms_since(t0);
-    if (n++ == 0 || ms < best) best = ms;
-    sum += ms;
-    sumsq += ms * ms;
-  }
-  double mean() const { return n > 0 ? sum / n : 0.0; }
-  double sd() const {
-    if (n < 2) return 0.0;
-    const double m = mean();
-    return std::sqrt(std::max(0.0, (sumsq - static_cast<double>(n) * m * m) /
-                                       static_cast<double>(n - 1)));
-  }
-};
+using bench::MinTimer;
 
 std::string conformance_fingerprint(const sim::ConformanceReport& r) {
   std::ostringstream out;

@@ -24,8 +24,6 @@
 //
 // `--smoke` shrinks the ladder and budgets for CI; the JSON records the
 // flag so smoke numbers are never mistaken for measurements.
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -34,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_timer.hpp"
 #include "bench_suite/generators.hpp"
 #include "netlist/netlist.hpp"
 #include "nshot/synthesis.hpp"
@@ -46,28 +45,9 @@
 namespace {
 
 using namespace nshot;
-using Clock = std::chrono::steady_clock;
+using bench::MinTimer;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Min-of-N wall-clock filter (same discipline as bench_kernels: legs
-/// under comparison interleave their samples so a load spike lands on all
-/// of them).
-struct MinTimer {
-  double best = 0.0;
-  int n = 0;
-  template <typename Body>
-  void sample(Body&& body) {
-    const auto t0 = Clock::now();
-    body();
-    const double ms = ms_since(t0);
-    if (n++ == 0 || ms < best) best = ms;
-  }
-};
 
 /// The seed workload: one implementable random semimodular circuit plus
 /// the initial net values of its SG initial state.

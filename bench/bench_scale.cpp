@@ -9,9 +9,11 @@
 // word-parallel StateSet / bit-plane engines pull away.  Per tier, four
 // kernels run through both paths:
 //   * regions       — compute_all_regions (shared plane sweep + threaded
-//                     per-signal floods) vs compute_regions_reference;
+//                     per-signal floods) vs the test-only oracle
+//                     sg::reference::compute_regions;
 //   * coding        — check_csc / check_usc / count_csc_conflicts /
-//                     detonant_states vs their *_reference twins;
+//                     detonant_states vs the sg::reference oracles and
+//                     count_csc_conflicts_reference;
 //   * trigger       — enforce_trigger_requirement, supercube-containment
 //                     fast path vs the code-at-a-time reference membership;
 //   * reachability  — build_state_graph, the serial flat-arena sweep with
@@ -34,14 +36,13 @@
 // `--smoke` keeps only the smallest tiers with one timing sample for CI
 // sanity; the JSON records the flag so smoke numbers are never mistaken
 // for measurements.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timer.hpp"
 #include "bench_suite/generators.hpp"
 #include "exec/thread_pool.hpp"
 #include "logic/cover.hpp"
@@ -50,6 +51,7 @@
 #include "nshot/trigger.hpp"
 #include "obs/obs.hpp"
 #include "oracles/reachability_reference.hpp"
+#include "oracles/sg_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
@@ -61,29 +63,11 @@
 namespace {
 
 using namespace nshot;
-using Clock = std::chrono::steady_clock;
+using bench::MinTimer;
 
 /// Above this state count the byte-identity assertions switch from full
 /// renderings to sampled slices.
 constexpr int kFullIdentityLimit = 200000;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Wall-clock minimum over repeated samples, interleaved between the legs
-/// under comparison so a load spike lands on both (see bench_kernels.cpp).
-struct MinTimer {
-  double best = 0.0;
-  int n = 0;
-  template <typename Body>
-  void sample(Body&& body) {
-    const auto t0 = Clock::now();
-    body();
-    const double ms = ms_since(t0);
-    if (n++ == 0 || ms < best) best = ms;
-  }
-};
 
 /// A parallel-chains controller with `chains` three-signal chains: the
 /// master input releases every chain, the chains run concurrently, and the
@@ -209,7 +193,7 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
     regions_ref_t.sample([&] {
       reference_regions = 0;
       for (const sg::SignalId a : noninput)
-        reference_regions += sg::compute_regions_reference(g, a).regions.size();
+        reference_regions += sg::reference::compute_regions(g, a).regions.size();
     });
     regions_fast_t.sample([&] {
       fast_all_regions = sg::compute_all_regions(g, jobs);
@@ -227,7 +211,7 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   // for the set — a full 524k-state rendering per signal is ~100MB.
   for (std::size_t k = 0; k < noninput.size(); ++k) {
     if (timing.sampled_identity && k % 3 != 0 && k + 1 != noninput.size()) continue;
-    identical = identical && sg::compute_regions_reference(g, noninput[k]).to_string(g) ==
+    identical = identical && sg::reference::compute_regions(g, noninput[k]).to_string(g) ==
                                  fast_all_regions[k].to_string(g);
   }
 
@@ -236,11 +220,11 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   MinTimer coding_ref_t, coding_fast_t;
   for (int r = 0; r < reps; ++r) {
     coding_ref_t.sample([&] {
-      reference_coding = sg::check_csc_reference(g).violations.size() +
-                         sg::check_usc_reference(g).violations.size() +
+      reference_coding = sg::reference::check_csc(g).violations.size() +
+                         sg::reference::check_usc(g).violations.size() +
                          sg::count_csc_conflicts_reference(g);
       for (const sg::SignalId a : noninput)
-        reference_coding += sg::detonant_states_reference(g, a).size();
+        reference_coding += sg::reference::detonant_states(g, a).size();
     });
     coding_fast_t.sample([&] {
       fast_coding = sg::check_csc(g, jobs).violations.size() +
@@ -253,11 +237,11 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   timing.coding_fast_ms = coding_fast_t.best;
 
   identical = identical && reference_coding == fast_coding &&
-              sg::check_csc_reference(g).summary() == sg::check_csc(g, jobs).summary() &&
-              sg::check_usc_reference(g).summary() == sg::check_usc(g, jobs).summary();
+              sg::reference::check_csc(g).summary() == sg::check_csc(g, jobs).summary() &&
+              sg::reference::check_usc(g).summary() == sg::check_usc(g, jobs).summary();
   const std::vector<std::vector<sg::StateId>> fast_detonant = sg::all_detonant_states(g, jobs);
   for (std::size_t k = 0; k < noninput.size(); ++k)
-    identical = identical && sg::detonant_states_reference(g, noninput[k]) == fast_detonant[k];
+    identical = identical && sg::reference::detonant_states(g, noninput[k]) == fast_detonant[k];
 
   // --- trigger: cube membership over all trigger regions ------------------
   // The cover under test is the monotonous ER-supercube cover: one cube per

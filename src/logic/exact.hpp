@@ -29,8 +29,7 @@ struct ExactOptions : RunConfig {
   // The inherited RunConfig::reference_kernels enumerates prime keys
   // through ordered std::set instead of the hashed hot path — for kernel
   // equivalence tests and benchmarking only.  Both paths emit the primes
-  // in the same sorted (lo, hi) order.  (The pre-RunConfig
-  // `reference_sets` alias shipped one release of warnings and is gone.)
+  // in the same sorted (lo, hi) order.
 };
 
 /// All prime implicants of output `o` of `spec` (maximal cubes disjoint

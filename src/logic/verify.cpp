@@ -14,7 +14,8 @@ namespace {
 // code planes once, then every cube is one word-parallel literal AND
 // instead of a per-minterm probe.  The first violating minterm is the
 // lowest set bit of the violation set, which is the first minterm in list
-// order — the same one the code-at-a-time reference reports.
+// order — the same one the code-at-a-time oracle
+// (logic::reference::verify_cover) reports.
 VerifyResult verify_output(const TwoLevelSpec& spec, const Cover& cover, int o) {
   const CodeBitPlanes on(spec.on(o), spec.num_inputs());
   const CodeBitPlanes off(spec.off(o), spec.num_inputs());
@@ -63,22 +64,6 @@ VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover, int jobs
       outputs, [&](int o) { return verify_output(spec, cover, o); }, jobs);
   for (VerifyResult& result : results)
     if (!result.ok) return std::move(result);
-  return {};
-}
-
-VerifyResult verify_cover_reference(const TwoLevelSpec& spec, const Cover& cover) {
-  for (int o = 0; o < spec.num_outputs(); ++o) {
-    for (const std::uint64_t code : spec.on(o)) {
-      if (!cover.covers(code, o))
-        return {false, "on-minterm " + std::to_string(code) + " of output " + std::to_string(o) +
-                           " is not covered"};
-    }
-    for (const std::uint64_t code : spec.off(o)) {
-      if (cover.covers(code, o))
-        return {false, "off-minterm " + std::to_string(code) + " of output " + std::to_string(o) +
-                           " is covered"};
-    }
-  }
   return {};
 }
 

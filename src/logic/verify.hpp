@@ -19,17 +19,15 @@ struct VerifyResult {
 /// Check that every on-minterm of every output is covered and that no cube
 /// of the cover intersects the off-set of an output it feeds.  Evaluated
 /// bit-sliced (logic/bitslice.hpp): per-cube literal masks word-parallel
-/// against the packed minterm codes.
+/// against the packed minterm codes.  The minterm-at-a-time original is
+/// the test-only oracle logic::reference::verify_cover
+/// (tests/oracles/espresso_reference.hpp); both return the same result.
 ///
 /// `jobs` (default 1 = serial) threads the per-output checks: each output's
 /// word-parallel sweep is an independent item of an exec::parallel_map and
 /// the first failure in OUTPUT order is returned, so the result is
 /// byte-identical to the serial early-exit loop at any worker count.
 VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover, int jobs = 1);
-
-/// Original minterm-at-a-time implementation of verify_cover, kept
-/// compiled in as the byte-equality oracle for the bit-sliced fast path.
-VerifyResult verify_cover_reference(const TwoLevelSpec& spec, const Cover& cover);
 
 /// Check that no cube can be removed without losing an on-minterm.
 VerifyResult verify_irredundant(const TwoLevelSpec& spec, const Cover& cover);

@@ -56,8 +56,7 @@ bool has_trigger_cube(const logic::Cover& cover, int output,
 /// The inherited RunConfig::reference_kernels switches the membership
 /// check to the code-at-a-time has_trigger_cube scan instead of the
 /// supercube-containment fast path — the byte-equality oracle for
-/// tests/benches.  (The pre-RunConfig `reference_membership` alias shipped
-/// one release of deprecation warnings and is gone.)
+/// tests/benches.
 struct TriggerOptions : RunConfig {};
 
 /// Check all trigger regions of all non-input signals against `cover` and

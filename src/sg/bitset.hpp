@@ -7,7 +7,8 @@
 // operations; iteration always visits members in ascending StateId order,
 // which is exactly the order the original ordered-container (std::set /
 // std::map) implementations produced — so analyses rewritten on top of
-// StateSet stay byte-identical to their `*_reference` oracles.
+// StateSet stay byte-identical to their ordered-container oracles
+// (tests/oracles/sg_reference.hpp).
 //
 // The free functions at the bottom build the bit planes the analyses
 // start from: per-signal value planes (bit s of plane x = value of signal

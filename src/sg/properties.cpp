@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -287,49 +286,17 @@ std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int 
   return result;
 }
 
-PropertyReport check_csc_reference(const StateGraph& sg) {
-  PropertyReport report;
+std::size_t count_csc_conflicts_reference(const StateGraph& sg) {
   std::map<std::uint64_t, std::vector<StateId>> by_code;
   for (StateId s = 0; s < sg.num_states(); ++s) by_code[sg.code(s)].push_back(s);
+  std::size_t count = 0;
   for (const auto& [code, states] : by_code) {
     if (states.size() < 2) continue;
-    const std::uint64_t reference = excited_noninput_mask(sg, states[0]);
+    const std::uint64_t first = excited_noninput_mask(sg, states[0]);
     for (std::size_t i = 1; i < states.size(); ++i)
-      if (excited_noninput_mask(sg, states[i]) != reference)
-        report.violations.push_back("CSC conflict between " + sg.state_name(states[0]) + " and " +
-                                    sg.state_name(states[i]) +
-                                    " (equal codes, different excited non-input signals)");
+      if (excited_noninput_mask(sg, states[i]) != first) ++count;
   }
-  return report;
-}
-
-PropertyReport check_usc_reference(const StateGraph& sg) {
-  PropertyReport report;
-  std::map<std::uint64_t, StateId> seen;
-  for (StateId s = 0; s < sg.num_states(); ++s) {
-    const auto [it, inserted] = seen.emplace(sg.code(s), s);
-    if (!inserted)
-      report.violations.push_back("states " + sg.state_name(it->second) + " and " +
-                                  sg.state_name(s) + " share one binary code");
-  }
-  return report;
-}
-
-std::size_t count_csc_conflicts_reference(const StateGraph& sg) {
-  return check_csc_reference(sg).violations.size();
-}
-
-std::vector<StateId> detonant_states_reference(const StateGraph& sg, SignalId a) {
-  NSHOT_REQUIRE(!sg.is_input(a), "detonant states are defined for non-input signals");
-  std::vector<StateId> result;
-  for (StateId w = 0; w < sg.num_states(); ++w) {
-    if (sg.excited(w, a)) continue;
-    std::set<StateId> exciting;
-    for (const Edge& e : sg.out_edges(w))
-      if (sg.excited(e.target, a)) exciting.insert(e.target);
-    if (exciting.size() >= 2) result.push_back(w);
-  }
-  return result;
+  return count;
 }
 
 bool is_distributive(const StateGraph& sg, SignalId a) { return detonant_states(sg, a).empty(); }

@@ -62,13 +62,13 @@ std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a, int jobs 
 /// sweep instead of one whole-graph edge pass per signal.
 std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int jobs = 1);
 
-/// Original ordered-container implementations, kept compiled in as
-/// byte-equality oracles for the word-parallel/sorted fast paths
-/// (see tests/kernel_equivalence_test.cpp and bench/bench_scale.cpp).
-PropertyReport check_csc_reference(const StateGraph& sg);
-PropertyReport check_usc_reference(const StateGraph& sg);
+/// count_csc_conflicts over a std::map from code to states, the
+/// ordered-container formulation the CSC solver runs under its frozen
+/// `reference_kernels` request field.  Counts only; builds no diagnostic
+/// strings.  The ordered-container check_csc, check_usc and
+/// detonant_states live in the test-only oracle
+/// (tests/oracles/sg_reference.hpp).
 std::size_t count_csc_conflicts_reference(const StateGraph& sg);
-std::vector<StateId> detonant_states_reference(const StateGraph& sg, SignalId a);
 
 /// Definition 4: the SG is distributive w.r.t. `a` iff no detonant states.
 bool is_distributive(const StateGraph& sg, SignalId a);

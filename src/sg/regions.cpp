@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 
 #include "exec/cancel.hpp"
 #include "exec/thread_pool.hpp"
@@ -115,7 +113,7 @@ class SccFinder {
 /// `quiescent` is the precomputed word-packed plane of states where a has
 /// the new value and is stable, so membership is a single bit probe; the
 /// ascending bit-order extraction of `in_region` reproduces the order the
-/// reference std::set implementation iterated in.
+/// std::set flood of the test oracle (tests/oracles/sg_reference) yields.
 std::vector<StateId> quiescent_of(const StateGraph& sg, SignalId a,
                                   const std::vector<StateId>& er_states, bool rising,
                                   const StateSet& quiescent, StateSet& in_region,
@@ -139,30 +137,6 @@ std::vector<StateId> quiescent_of(const StateGraph& sg, SignalId a,
   return in_region.to_vector();
 }
 
-/// Reference QR flood over std::set — kept for kernel equivalence tests.
-std::vector<StateId> quiescent_of_reference(const StateGraph& sg, SignalId a,
-                                            const std::vector<StateId>& er_states, bool rising) {
-  const bool new_value = rising;
-  std::set<StateId> region;
-  std::vector<StateId> frontier;
-  for (const StateId s : er_states) {
-    const auto exit = sg.successor(s, TransitionLabel{a, rising});
-    if (!exit) continue;
-    if (sg.value(*exit, a) == new_value && !sg.excited(*exit, a) && region.insert(*exit).second)
-      frontier.push_back(*exit);
-  }
-  while (!frontier.empty()) {
-    const StateId s = frontier.back();
-    frontier.pop_back();
-    for (const Edge& e : sg.out_edges(s)) {
-      const StateId t = e.target;
-      if (sg.value(t, a) == new_value && !sg.excited(t, a) && region.insert(t).second)
-        frontier.push_back(t);
-    }
-  }
-  return std::vector<StateId>(region.begin(), region.end());
-}
-
 }  // namespace
 
 bool ExcitationRegion::single_traversal() const {
@@ -173,33 +147,18 @@ bool ExcitationRegion::single_traversal() const {
 
 namespace {
 
-/// `planes` (optional) supplies prebuilt value/excitation planes for
-/// signal a — compute_all_regions builds every signal's planes in one
-/// shared sweep instead of two per-signal graph passes.  Plane content is
-/// identical either way, so the output is unchanged.
-struct SignalPlanes {
-  const StateSet* value = nullptr;
-  const StateSet* excited = nullptr;
-};
-
-SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, bool reference,
-                                   SignalPlanes planes = {}) {
-  NSHOT_REQUIRE(a >= 0 && a < sg.num_signals(), "signal index out of range");
-
+/// `value` / `excited` are the word-packed planes of signal a:
+/// compute_regions builds them for one signal, compute_all_regions passes
+/// its shared all-signal sweep.  Every value / excitation test below is a
+/// single bit probe.
+SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, const StateSet& value,
+                                   const StateSet& excited) {
   SignalRegions result;
   result.signal = a;
 
-  // Word-packed planes for the hot path: one pass over the graph, then
-  // every value / excitation test below is a single bit probe.  The
-  // reference path keeps the original per-state out-edge scans.
   const std::size_t n = static_cast<std::size_t>(sg.num_states());
-  StateSet value(0), excited(0), quiescent_plane(0), in_region(0);
+  StateSet quiescent_plane(0), in_region(n);
   std::vector<StateId> flood_frontier;
-  if (!reference) {
-    value = planes.value ? *planes.value : value_set(sg, a);
-    excited = planes.excited ? *planes.excited : excited_set(sg, a);
-    in_region = StateSet(n);
-  }
   // Local-index scratch maps, allocated once and reset by touched entry so
   // large graphs do not pay an O(num_states) clear per region.
   std::vector<int> local(n, -1);
@@ -207,25 +166,18 @@ SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, bool refere
 
   for (const bool rising : {true, false}) {
     // States of the union of ER(+a)s (resp. ER(-a)s): a has the pre-value
-    // and is excited.
-    std::vector<StateId> members;
-    if (reference) {
-      for (StateId s = 0; s < sg.num_states(); ++s)
-        if (sg.value(s, a) != rising && sg.excited(s, a)) members.push_back(s);
-    } else {
-      // excited & (rising ? ~value : value), extracted in ascending order —
-      // identical to the per-state scan above.
-      StateSet er_plane = excited;
-      if (rising)
-        er_plane.subtract(value);
-      else
-        er_plane &= value;
-      members = er_plane.to_vector();
-      // QR(*a) candidates for this polarity: a has the new value, stable.
-      quiescent_plane = value;
-      if (!rising) quiescent_plane.complement();
-      quiescent_plane.subtract(excited);
-    }
+    // and is excited: excited & (rising ? ~value : value), extracted in
+    // ascending order.
+    StateSet er_plane = excited;
+    if (rising)
+      er_plane.subtract(value);
+    else
+      er_plane &= value;
+    const std::vector<StateId> members = er_plane.to_vector();
+    // QR(*a) candidates for this polarity: a has the new value, stable.
+    quiescent_plane = value;
+    if (!rising) quiescent_plane.complement();
+    quiescent_plane.subtract(excited);
     if (members.empty()) continue;
     for (std::size_t i = 0; i < members.size(); ++i)
       local[static_cast<std::size_t>(members[i])] = static_cast<int>(i);
@@ -240,39 +192,31 @@ SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, bool refere
                                    static_cast<std::size_t>(t_local));
       }
     }
-    // Group members into components by UF root, in ascending root order.
-    // The hot path counting-sorts over the dense root domain (roots are
-    // member indices, so root < members.size()); the reference path groups
-    // through std::map.  The scatter walks members in ascending index
-    // order, so components come out in ascending root order with members
-    // ascending within each — identical groups either way.
+    // Group members into components by UF root, in ascending root order:
+    // a counting sort over the dense root domain (roots are member
+    // indices, so root < members.size()).  The scatter walks members in
+    // ascending index order, so components come out in ascending root
+    // order with members ascending within each.
     std::vector<std::vector<StateId>> components;
-    if (reference) {
-      std::map<std::size_t, std::vector<StateId>> by_root;
-      for (std::size_t i = 0; i < members.size(); ++i)
-        by_root[uf.find(i)].push_back(members[i]);
-      for (auto& [root, er_states] : by_root) components.push_back(std::move(er_states));
-    } else {
-      std::vector<std::size_t> root_of(members.size());
-      std::vector<std::size_t> offset(members.size() + 1, 0);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        root_of[i] = uf.find(i);
-        ++offset[root_of[i] + 1];
-      }
-      for (std::size_t r = 0; r < members.size(); ++r) offset[r + 1] += offset[r];
-      std::vector<std::size_t> ordered(members.size());
-      std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
-      for (std::size_t i = 0; i < members.size(); ++i) ordered[cursor[root_of[i]]++] = i;
-      for (std::size_t begin = 0; begin < ordered.size();) {
-        const std::size_t root = root_of[ordered[begin]];
-        std::size_t end = begin;
-        while (end < ordered.size() && root_of[ordered[end]] == root) ++end;
-        std::vector<StateId> er_states;
-        er_states.reserve(end - begin);
-        for (std::size_t k = begin; k < end; ++k) er_states.push_back(members[ordered[k]]);
-        components.push_back(std::move(er_states));
-        begin = end;
-      }
+    std::vector<std::size_t> root_of(members.size());
+    std::vector<std::size_t> offset(members.size() + 1, 0);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      root_of[i] = uf.find(i);
+      ++offset[root_of[i] + 1];
+    }
+    for (std::size_t r = 0; r < members.size(); ++r) offset[r + 1] += offset[r];
+    std::vector<std::size_t> ordered(members.size());
+    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+    for (std::size_t i = 0; i < members.size(); ++i) ordered[cursor[root_of[i]]++] = i;
+    for (std::size_t begin = 0; begin < ordered.size();) {
+      const std::size_t root = root_of[ordered[begin]];
+      std::size_t end = begin;
+      while (end < ordered.size() && root_of[ordered[end]] == root) ++end;
+      std::vector<StateId> er_states;
+      er_states.reserve(end - begin);
+      for (std::size_t k = begin; k < end; ++k) er_states.push_back(members[ordered[k]]);
+      components.push_back(std::move(er_states));
+      begin = end;
     }
 
     for (const StateId s : members) local[static_cast<std::size_t>(s)] = -1;
@@ -283,9 +227,8 @@ SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, bool refere
       er.rising = rising;
       std::sort(er_states.begin(), er_states.end());
       er.states = er_states;
-      er.quiescent = reference ? quiescent_of_reference(sg, a, er.states, rising)
-                               : quiescent_of(sg, a, er.states, rising, quiescent_plane,
-                                              in_region, flood_frontier);
+      er.quiescent =
+          quiescent_of(sg, a, er.states, rising, quiescent_plane, in_region, flood_frontier);
 
       // Trigger regions: bottom SCCs of the subgraph of the ER induced by
       // the arcs that do not fire *a.  The subgraph is built in CSR form
@@ -336,11 +279,8 @@ SignalRegions compute_regions_impl(const StateGraph& sg, SignalId a, bool refere
 }  // namespace
 
 SignalRegions compute_regions(const StateGraph& sg, SignalId a) {
-  return compute_regions_impl(sg, a, /*reference=*/false);
-}
-
-SignalRegions compute_regions_reference(const StateGraph& sg, SignalId a) {
-  return compute_regions_impl(sg, a, /*reference=*/true);
+  NSHOT_REQUIRE(a >= 0 && a < sg.num_signals(), "signal index out of range");
+  return compute_regions_impl(sg, a, value_set(sg, a), excited_set(sg, a));
 }
 
 std::vector<SignalRegions> compute_all_regions(const StateGraph& sg, int jobs) {
@@ -353,9 +293,8 @@ std::vector<SignalRegions> compute_all_regions(const StateGraph& sg, int jobs) {
   const std::vector<SignalId> signals = sg.noninput_signals();
   auto regions_of = [&](int i) {
     const SignalId a = signals[static_cast<std::size_t>(i)];
-    return compute_regions_impl(sg, a, /*reference=*/false,
-                                {&values[static_cast<std::size_t>(a)],
-                                 &excited[static_cast<std::size_t>(a)]});
+    return compute_regions_impl(sg, a, values[static_cast<std::size_t>(a)],
+                                excited[static_cast<std::size_t>(a)]);
   };
   if (jobs <= 1) {
     std::vector<SignalRegions> all;

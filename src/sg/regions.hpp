@@ -42,13 +42,11 @@ struct SignalRegions {
   std::string to_string(const StateGraph& sg) const;
 };
 
-/// Compute the regions of non-input signal `a`.
+/// Compute the regions of non-input signal `a` over its word-packed value
+/// and excitation planes.  The ordered std::set / std::map formulation it
+/// replaced is the test-only oracle sg::reference::compute_regions
+/// (tests/oracles/sg_reference.hpp), which must give the same to_string.
 SignalRegions compute_regions(const StateGraph& sg, SignalId a);
-
-/// Same computation over the original ordered std::set / std::map
-/// structures — for kernel equivalence tests and benchmarking only.
-/// Identical output to compute_regions.
-SignalRegions compute_regions_reference(const StateGraph& sg, SignalId a);
 
 /// Regions of every non-input signal, in signal order.
 ///

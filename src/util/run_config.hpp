@@ -31,9 +31,7 @@ struct RunConfig {
 
   /// Route hot paths through their uncompiled/ordered reference
   /// implementations — for kernel-equivalence tests and benchmarking
-  /// only.  This is the single spelling: the narrower per-struct aliases
-  /// (TriggerOptions::reference_membership, ExactOptions::reference_sets)
-  /// shipped one release of deprecation warnings and were removed.
+  /// only.
   bool reference_kernels = false;
 
   /// Cross-check the optimized kernels against their reference oracles

@@ -3,8 +3,9 @@
 // The EXPAND/IRREDUNDANT/REDUCE loop has no correctness oracle of its own
 // beyond the handful of fixed functions in espresso_test.cpp.  Here random
 // (F, D, R) specifications drive three checks per draw:
-//   1. cover validity — verify_cover (and its reference twin) accept the
-//      heuristic cover: F is covered, R is untouched;
+//   1. cover validity — verify_cover (and its test-only oracle
+//      reference::verify_cover) accept the heuristic cover: F is covered,
+//      R is untouched;
 //   2. functional equivalence against the exact minimizer — both covers
 //      evaluate identically on every minterm of the input space for every
 //      output (they may differ inside D, but espresso's and exact's covers
@@ -20,6 +21,7 @@
 #include "logic/exact.hpp"
 #include "logic/spec.hpp"
 #include "logic/verify.hpp"
+#include "oracles/espresso_reference.hpp"
 #include "util/rng.hpp"
 
 namespace nshot::logic {
@@ -66,10 +68,10 @@ TEST_P(EspressoFuzzTest, HeuristicCoverIsValidAndMatchesExactOnCarePoints) {
   const Cover exact = exact_minimize(spec);
 
   // 1. Cover validity, through both the bit-sliced verifier and its
-  //    minterm-at-a-time reference (doubles as a bitslice fuzz case).
+  //    minterm-at-a-time oracle (doubles as a bitslice fuzz case).
   for (const Cover* cover : {&heuristic, &exact}) {
     const VerifyResult fast = verify_cover(spec, *cover);
-    const VerifyResult reference = verify_cover_reference(spec, *cover);
+    const VerifyResult reference = reference::verify_cover(spec, *cover);
     EXPECT_TRUE(fast.ok) << fast.message;
     EXPECT_EQ(reference.ok, fast.ok);
     EXPECT_EQ(reference.message, fast.message);

@@ -1,11 +1,13 @@
 // Kernel equivalence tests: every compiled / hashed / sorted-vector hot
 // path introduced by the kernel layer must be byte-identical to the
 // original reference implementation it replaced.  The reference paths are
-// compiled in behind options flags (ConformanceOptions::reference_kernels,
-// StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
-// compute_regions_reference) or linked from the test-only oracles
-// (stg::reference reachability), so the comparison runs over randomly
-// generated controllers in one binary.
+// either frozen request-schema behaviour behind the `reference_kernels`
+// options field (ConformanceOptions, StressOptions, TriggerOptions,
+// ExactOptions, CscSolveOptions) or test-only oracles linked from
+// tests/oracles (stg::reference reachability; sg::reference regions, CSC,
+// USC and detonant states; logic::reference::verify_cover), so the
+// comparison runs over randomly generated controllers and the Table 2
+// suite in one binary.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generators.hpp"
 #include "csc/csc_solver.hpp"
 #include "faults/stress.hpp"
@@ -22,7 +25,9 @@
 #include "logic/verify.hpp"
 #include "nshot/synthesis.hpp"
 #include "nshot/trigger.hpp"
+#include "oracles/espresso_reference.hpp"
 #include "oracles/reachability_reference.hpp"
+#include "oracles/sg_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
@@ -287,33 +292,104 @@ TEST(KernelEquivalenceFixedTest, ReachabilityTable2ChainsMatchReferenceMaps) {
       {"p1", "q1", "p2", "q2", "p3", "q3", "p4", "q4", "p5", "q5"}));
 }
 
+/// Both production entry points against the ordered-container oracle:
+/// compute_regions per signal, and entry k of compute_all_regions (the
+/// shared-plane sweep synthesis calls) for the k-th non-input signal.
+void expect_regions_match_reference(const sg::StateGraph& g, const std::string& what) {
+  const std::vector<sg::SignalId> noninput = g.noninput_signals();
+  const std::vector<sg::SignalRegions> all = sg::compute_all_regions(g);
+  ASSERT_EQ(all.size(), noninput.size()) << what;
+  for (std::size_t k = 0; k < noninput.size(); ++k) {
+    const sg::SignalId a = noninput[k];
+    const std::string reference = sg::reference::compute_regions(g, a).to_string(g);
+    EXPECT_EQ(reference, sg::compute_regions(g, a).to_string(g)) << what << " signal " << a;
+    EXPECT_EQ(reference, all[k].to_string(g)) << what << " compute_all_regions signal " << a;
+  }
+}
+
 TEST_P(KernelEquivalenceTest, RegionsMatchReference) {
   const Generated gen = generate(GetParam());
+  expect_regions_match_reference(gen.graph, "param " + std::to_string(GetParam()));
 
   for (const sg::SignalId a : gen.graph.noninput_signals()) {
-    const sg::SignalRegions fast = sg::compute_regions(gen.graph, a);
-    const sg::SignalRegions reference = sg::compute_regions_reference(gen.graph, a);
-    EXPECT_EQ(reference.to_string(gen.graph), fast.to_string(gen.graph)) << "signal " << a;
-    for (const sg::ExcitationRegion& er : fast.regions) {
+    for (const sg::ExcitationRegion& er : sg::compute_regions(gen.graph, a).regions) {
       EXPECT_TRUE(sg::verify_output_trapping(gen.graph, er));
       EXPECT_TRUE(sg::verify_trigger_reachability(gen.graph, er));
     }
   }
 }
 
+TEST(KernelEquivalenceFixedTest, RegionsTable2MatchReference) {
+  // The real circuits carry the shapes random staged cycles rarely draw:
+  // multi-state trigger regions, several ERs per polarity, QRs reached
+  // through input choices.
+  for (const bench_suite::BenchmarkInfo& info : bench_suite::all_benchmarks())
+    expect_regions_match_reference(info.build(), info.name);
+}
+
+/// check_csc / check_usc / count_csc_conflicts (and the solver's
+/// count-only reference) against the ordered-container oracles.
+void expect_coding_matches_reference(const sg::StateGraph& g, const std::string& what) {
+  const sg::PropertyReport csc = sg::reference::check_csc(g);
+  EXPECT_EQ(sg::reference::check_usc(g).violations, sg::check_usc(g).violations) << what;
+  EXPECT_EQ(csc.violations, sg::check_csc(g).violations) << what;
+  EXPECT_EQ(csc.violations.size(), sg::count_csc_conflicts(g)) << what;
+  EXPECT_EQ(csc.violations.size(), sg::count_csc_conflicts_reference(g)) << what;
+}
+
 TEST_P(KernelEquivalenceTest, CodingChecksMatchOrderedReference) {
-  // check_csc / check_usc / detonant_states run over sorted vectors,
-  // hashed maps and excitation bit planes; compare against the compiled-in
-  // ordered-container reference implementations of the originals.
+  // check_csc / check_usc / detonant_states run over sorted vectors and
+  // excitation bit planes; compare against the ordered-container oracles.
   const Generated gen = generate(GetParam());
   const sg::StateGraph& g = gen.graph;
 
-  EXPECT_EQ(sg::check_usc_reference(g).violations, sg::check_usc(g).violations);
-  EXPECT_EQ(sg::check_csc_reference(g).violations, sg::check_csc(g).violations);
-  EXPECT_EQ(sg::count_csc_conflicts_reference(g), sg::count_csc_conflicts(g));
-  EXPECT_EQ(sg::count_csc_conflicts(g), sg::check_csc(g).violations.size());
+  expect_coding_matches_reference(g, "param " + std::to_string(GetParam()));
   for (const sg::SignalId a : g.noninput_signals())
-    EXPECT_EQ(sg::detonant_states_reference(g, a), sg::detonant_states(g, a)) << "signal " << a;
+    EXPECT_EQ(sg::reference::detonant_states(g, a), sg::detonant_states(g, a)) << "signal " << a;
+}
+
+TEST(KernelEquivalenceFixedTest, CodingChecksMatchOrderedReferenceOnCscConflicts) {
+  // Implementable draws satisfy CSC, so their violation lists are empty.
+  // Raw staged-cycle draws that fail CSC exercise the report order of
+  // real conflicts (and their USC collisions) against the oracle.
+  int conflicting = 0;
+  for (int seed = 1; seed <= 768; ++seed) {
+    const sg::StateGraph g = bench_suite::build_g(random_g_text(seed));
+    if (g.noninput_signals().empty() || sg::check_csc(g).ok()) continue;
+    ++conflicting;
+    expect_coding_matches_reference(g, "seed " + std::to_string(seed));
+  }
+  RecordProperty("conflicting_draws", conflicting);
+  EXPECT_GT(conflicting, 0);
+}
+
+TEST(KernelEquivalenceFixedTest, DistributivityAndUscMatchOrderedReferenceOnTable2) {
+  // The nondistributive half of Table 2 has detonant states, and
+  // read-write satisfies CSC but not USC: real findings for the
+  // Definition-3 scan and the USC report order.
+  int graphs = 0;
+  for (const bench_suite::BenchmarkInfo& info : bench_suite::all_benchmarks()) {
+    if (!info.nondistributive && info.name != "read-write") continue;
+    ++graphs;
+    const sg::StateGraph g = info.build();
+    const std::vector<sg::SignalId> noninput = g.noninput_signals();
+    const std::vector<std::vector<sg::StateId>> all = sg::all_detonant_states(g);
+    ASSERT_EQ(all.size(), noninput.size()) << info.name;
+    std::size_t detonant = 0;
+    for (std::size_t k = 0; k < noninput.size(); ++k) {
+      const std::vector<sg::StateId> reference = sg::reference::detonant_states(g, noninput[k]);
+      EXPECT_EQ(reference, sg::detonant_states(g, noninput[k])) << info.name << " " << k;
+      EXPECT_EQ(reference, all[k]) << info.name << " all_detonant_states " << k;
+      detonant += reference.size();
+    }
+    const std::vector<std::string> usc = sg::reference::check_usc(g).violations;
+    EXPECT_EQ(usc, sg::check_usc(g).violations) << info.name;
+    if (info.nondistributive)
+      EXPECT_GT(detonant, 0u) << info.name;
+    else
+      EXPECT_FALSE(usc.empty()) << info.name;
+  }
+  EXPECT_EQ(graphs, 7);
 }
 
 TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
@@ -353,12 +429,12 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
 TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
   // verify_cover was rewritten bit-sliced over code planes; both the ok
   // verdict and the first-violation diagnostic must match the
-  // minterm-at-a-time reference, including on deliberately broken covers.
+  // minterm-at-a-time oracle, including on deliberately broken covers.
   const Generated gen = generate(GetParam());
   const logic::TwoLevelSpec& spec = gen.result.derived.spec;
 
   auto compare = [&spec](const logic::Cover& cover, const std::string& what) {
-    const logic::VerifyResult reference = logic::verify_cover_reference(spec, cover);
+    const logic::VerifyResult reference = logic::reference::verify_cover(spec, cover);
     const logic::VerifyResult fast = logic::verify_cover(spec, cover);
     EXPECT_EQ(reference.ok, fast.ok) << what;
     EXPECT_EQ(reference.message, fast.message) << what;

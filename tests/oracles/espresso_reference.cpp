@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -213,6 +214,22 @@ Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options) {
   }
   best.remove_contained();
   return best;
+}
+
+VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover) {
+  for (int o = 0; o < spec.num_outputs(); ++o) {
+    for (const std::uint64_t code : spec.on(o)) {
+      if (!cover.covers(code, o))
+        return {false, "on-minterm " + std::to_string(code) + " of output " + std::to_string(o) +
+                           " is not covered"};
+    }
+    for (const std::uint64_t code : spec.off(o)) {
+      if (cover.covers(code, o))
+        return {false, "off-minterm " + std::to_string(code) + " of output " + std::to_string(o) +
+                           " is covered"};
+    }
+  }
+  return {};
 }
 
 }  // namespace nshot::logic::reference

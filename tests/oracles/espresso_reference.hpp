@@ -6,11 +6,16 @@
 // bit-plane, incremental and merge-built versions.  They decide every
 // step one code at a time, so they are slow but easy to audit; espresso()
 // must return byte-identical covers.  REDUCE is shared with production.
+//
+// verify_cover is the minterm-at-a-time cover check that
+// logic/verify.cpp replaced with a bit-sliced sweep; logic::verify_cover
+// must return the same verdict and first-violation message.
 #pragma once
 
 #include "logic/cover.hpp"
 #include "logic/espresso.hpp"
 #include "logic/spec.hpp"
+#include "logic/verify.hpp"
 
 namespace nshot::logic::reference {
 
@@ -31,5 +36,9 @@ void irredundant(Cover& cover, const TwoLevelSpec& spec);
 
 /// The full EXPAND/IRREDUNDANT/REDUCE loop over the reference steps.
 Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options = {});
+
+/// Every on-minterm covered, no off-minterm covered, checked one code at a
+/// time in list order; same result as logic::verify_cover.
+VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover);
 
 }  // namespace nshot::logic::reference

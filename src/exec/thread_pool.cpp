@@ -53,28 +53,13 @@ void set_default_jobs(int jobs) {
 
 int resolve_jobs(int jobs) { return jobs >= 1 ? jobs : default_jobs(); }
 
-namespace {
-
-std::atomic<double> g_admission_us{-1.0};  // < 0 = unset, fall back to env / default
-
-double env_admission_us() {
+double parallel_admission_us() {
   if (const char* env = std::getenv("NSHOT_PARALLEL_MIN_US")) {
     char* end = nullptr;
     const double value = std::strtod(env, &end);
     if (end != env && value >= 0) return value;
   }
   return 4000.0;
-}
-
-}  // namespace
-
-double parallel_admission_us() {
-  const double set = g_admission_us.load(std::memory_order_relaxed);
-  return set >= 0 ? set : env_admission_us();
-}
-
-void set_parallel_admission_us(double us) {
-  g_admission_us.store(us >= 0 ? us : -1.0, std::memory_order_relaxed);
 }
 
 struct ThreadPool::Impl {

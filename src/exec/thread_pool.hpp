@@ -63,7 +63,6 @@ int resolve_jobs(int jobs);
 /// admission (always go parallel), which the sanitizer CI uses to keep the
 /// pool itself exercised.
 double parallel_admission_us();
-void set_parallel_admission_us(double us);
 
 /// Work-stealing thread pool.  Each worker owns a deque; submission
 /// round-robins across the deques and idle workers steal from the back of

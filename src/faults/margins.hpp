@@ -119,7 +119,7 @@ struct Eq1Margin {
 
 /// Evaluate the Eq. 1 slack of every MHS flip-flop of the compiled
 /// netlist for the given per-gate delay assignment (one entry per gate, as
-/// produced by `materialize_delays` or Simulator::gate_delays).
+/// produced by `materialize_delays`).
 std::vector<Eq1Margin> eq1_margins(const sim::CompiledNetlist& compiled,
                                    const std::vector<double>& delays);
 

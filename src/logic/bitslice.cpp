@@ -47,20 +47,4 @@ void CodeBitPlanes::covered_by(const Cube& cube, std::uint64_t* out) const {
   }
 }
 
-bool CodeBitPlanes::covers_all(const Cube& cube) const {
-  std::vector<std::uint64_t> covered(words_);
-  covered_by(cube, covered.data());
-  for (std::size_t w = 0; w < words_; ++w)
-    if (covered[w] != full_[w]) return false;
-  return true;
-}
-
-bool CodeBitPlanes::covers_any(const Cube& cube) const {
-  std::vector<std::uint64_t> covered(words_);
-  covered_by(cube, covered.data());
-  for (std::size_t w = 0; w < words_; ++w)
-    if (covered[w]) return true;
-  return false;
-}
-
 }  // namespace nshot::logic

@@ -24,7 +24,6 @@ class CodeBitPlanes {
  public:
   CodeBitPlanes(const std::vector<std::uint64_t>& codes, int num_inputs);
 
-  std::size_t num_codes() const { return num_codes_; }
   std::size_t num_words() const { return words_; }
   std::uint64_t code(std::size_t i) const { return codes_[i]; }
 
@@ -40,12 +39,6 @@ class CodeBitPlanes {
   /// words): bit i set iff cube covers codes[i].  A cube with an empty
   /// literal (admits neither value) covers nothing.
   void covered_by(const Cube& cube, std::uint64_t* out) const;
-
-  /// True if `cube`'s input part covers every code.
-  bool covers_all(const Cube& cube) const;
-
-  /// True if `cube`'s input part covers at least one code.
-  bool covers_any(const Cube& cube) const;
 
  private:
   std::size_t num_codes_ = 0;

@@ -37,7 +37,6 @@ class Cube {
 
   void set_outputs(std::uint64_t out) { out_ = out; }
   void add_output(int o) { out_ |= (1ULL << o); }
-  void remove_output(int o) { out_ &= ~(1ULL << o); }
   bool has_output(int o) const { return (out_ >> o) & 1ULL; }
 
   /// True if the input part admits the minterm `code`.

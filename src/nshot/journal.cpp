@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace nshot {
 
@@ -23,38 +24,32 @@ std::string journal_line(const BatchRunResult& result) {
   return json.str();
 }
 
-std::string journal_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return "";
-  return line.substr(begin, end - begin);
-}
-
 std::map<std::string, std::string> read_journal(const std::string& path) {
   std::map<std::string, std::string> journaled;
   if (path.empty()) return journaled;
   std::ifstream journal(path);
   std::string line;
   while (journal && std::getline(journal, line)) {
-    if (line.empty() || line.back() != '}') continue;  // truncated tail
-    const std::string id = journal_field(line, "id");
-    if (!id.empty() && !journal_field(line, "status").empty()) journaled[id] = line;
+    try {
+      const JsonValue record = parse_json(line, "journal line");
+      const std::string id = record.string_or("id", "");
+      if (!id.empty() && !record.string_or("status", "").empty()) journaled[id] = line;
+    } catch (const Error&) {  // a truncated tail (mid-write crash): not terminal
+    }
   }
   return journaled;
 }
 
 BatchRunResult journal_result(const std::string& id, const std::string& line) {
+  const JsonValue record = parse_json(line, "journal line");
   BatchRunResult result;
   result.id = id;
   result.resumed = true;
-  result.ok = journal_field(line, "status") == "ok";
+  result.ok = record.string_or("status", "") == "ok";
   if (!result.ok) {
-    result.code = error_code_from_name(journal_field(line, "code"));
-    result.stage = journal_field(line, "stage");
-    result.message = journal_field(line, "message");
+    result.code = error_code_from_name(record.string_or("code", ""));
+    result.stage = record.string_or("stage", "");
+    result.message = record.string_or("message", "");
   }
   return result;
 }

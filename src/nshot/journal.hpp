@@ -19,15 +19,9 @@ namespace nshot {
 /// Journal line for a terminal result (no trailing newline).
 std::string journal_line(const BatchRunResult& result);
 
-/// Extract `"key":"value"` from a journal line without a JSON parser
-/// (this repository only writes JSON).  Journal values we read back (id,
-/// status, code) never contain escapes we generate, so a plain scan up to
-/// the closing quote is exact for our own output.
-std::string journal_field(const std::string& line, const std::string& key);
-
-/// Terminal lines of a journal file, keyed by run id.  Truncated tails
-/// and lines without an id/status are skipped; a missing file is an
-/// empty journal (first invocation).
+/// Terminal lines of a journal file, keyed by run id.  Lines that do not
+/// parse as JSON (truncated tails) and lines without an id/status are
+/// skipped; a missing file is an empty journal (first invocation).
 std::map<std::string, std::string> read_journal(const std::string& path);
 
 /// Decode a terminal journal line back into a (resumed) result.

@@ -121,8 +121,6 @@ double now_us() {
 }  // namespace
 
 const CounterInfo& counter_info(Counter c) { return kCounterTable[static_cast<int>(c)]; }
-const GaugeInfo& gauge_info(Gauge g) { return kGaugeTable[static_cast<int>(g)]; }
-const char* gauge_name(Gauge g) { return kGaugeTable[static_cast<int>(g)].name; }
 
 namespace detail {
 

@@ -98,8 +98,6 @@ struct GaugeInfo {
 };
 
 const CounterInfo& counter_info(Counter c);
-const GaugeInfo& gauge_info(Gauge g);
-const char* gauge_name(Gauge g);
 
 // ---------------------------------------------------------------------------
 // The enabled flag and the cheap call surface

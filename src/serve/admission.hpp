@@ -81,7 +81,6 @@ class FairShareQueue {
   int queued() const { return queued_; }
   int inflight() const { return inflight_; }
   double service_estimate_ms() const { return service_ms_; }
-  int effective_max_inflight() const { return max_inflight_; }
 
  private:
   struct ClientState {

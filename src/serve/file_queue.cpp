@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -26,18 +25,15 @@ bool ends_with(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::string read_file(const fs::path& path) {
-  std::ifstream stream(path);
-  std::stringstream buffer;
-  buffer << stream.rdbuf();
-  return buffer.str();
-}
-
-/// First line of the file (a request is one NDJSON object; tolerate a
-/// trailing newline or accidental extra blank lines).
-std::string first_line(const std::string& text) {
-  const std::size_t eol = text.find('\n');
-  return eol == std::string::npos ? text : text.substr(0, eol);
+/// First line of a request file (a request is one NDJSON object; tolerate
+/// a trailing newline or accidental extra blank lines).  Reads at most one
+/// byte past kMaxParserLine: parse_request rejects anything longer.
+std::string first_line(const fs::path& path) {
+  std::string text(kMaxParserLine + 1, '\0');
+  std::ifstream stream(path, std::ios::binary);
+  stream.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(stream.gcount()));
+  return text.substr(0, text.find('\n'));
 }
 
 void write_atomic(const fs::path& path, const std::string& body) {
@@ -104,10 +100,10 @@ void FileQueueWorker::dispatch(const std::string& request_path) {
 
   WireRequest wire;
   try {
-    wire = parse_request(first_line(read_file(claim)));
+    wire = parse_request(first_line(claim));
   } catch (const std::exception& e) {
     const std::string id = fs::path(stem).filename().string();
-    write_atomic(response_path, rejection(id, ErrorCode::kInputInvalid, e.what()).to_json());
+    write_atomic(response_path, server_.reject_unparsable(id, e.what()).to_json());
     fs::remove(claim);
     return;
   }

@@ -5,6 +5,7 @@
 
 #include "util/json.hpp"
 #include "util/json_value.hpp"
+#include "util/strings.hpp"
 
 namespace nshot::serve {
 
@@ -34,6 +35,8 @@ std::string override_string(const std::string& key, const JsonValue& value) {
 }  // namespace
 
 WireRequest parse_request(const std::string& line) {
+  NSHOT_REQUIRE(line.size() <= kMaxParserLine,
+                "request line is longer than " + std::to_string(kMaxParserLine) + " bytes");
   const JsonValue doc = parse_json(line, "request line");
   NSHOT_REQUIRE(doc.is_object(), "request line must be a JSON object");
 

@@ -26,8 +26,9 @@ struct WireRequest {
   Request request;
 };
 
-/// Parse one NDJSON request line.  Throws Error(kInputInvalid) with a
-/// byte-offset diagnostic on malformed JSON, unknown keys, or a missing /
+/// Parse one NDJSON request line.  Throws Error(kInputInvalid) on a line
+/// longer than kMaxParserLine (util/strings.hpp), with a byte-offset
+/// diagnostic on malformed JSON, on unknown keys, or on a missing /
 /// ambiguous spec (spec vs g_text; deeper validation happens in submit).
 WireRequest parse_request(const std::string& line);
 

@@ -152,6 +152,12 @@ void Server::count_resumed() {
   ++stats_.resumed;
 }
 
+Response Server::reject_unparsable(const std::string& id, const std::string& message) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.rejected;
+  return rejection(id, ErrorCode::kInputInvalid, message);
+}
+
 void Server::drain() {
   std::vector<std::pair<std::shared_ptr<Job>, std::string>> evicted;
   {

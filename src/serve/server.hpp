@@ -55,7 +55,7 @@ struct ServeOptions {
 
 struct ServeStats {
   long accepted = 0;
-  long rejected = 0;   // admission rejections (incl. drain evictions)
+  long rejected = 0;   // never run: unparsable, admission-rejected or drain-evicted
   long completed = 0;  // terminal responses from executed requests
   long failed = 0;     // completed with !outcome.ok()
   long resumed = 0;    // answered from the journal without executing
@@ -94,6 +94,10 @@ class Server {
   /// Record `id` as resumed in the stats (transports call this when they
   /// answer from journaled()).
   void count_resumed();
+
+  /// Count a request the transport could not parse (parse_request threw
+  /// `message`) as rejected, and return its input_invalid response.
+  Response reject_unparsable(const std::string& id, const std::string& message);
 
   /// Graceful drain: stop admitting, complete every queued request with a
   /// "draining" rejection, wait for in-flight requests to finish (their

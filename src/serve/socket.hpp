@@ -4,21 +4,44 @@
 // order, not submission order: pipelining clients must match responses to
 // requests by "id".
 //
-// SocketListener owns an accept thread plus one reader thread per live
-// connection; completion callbacks (worker threads) serialize writes
-// through a per-connection mutex, and a shared_ptr keeps the connection
-// state alive until its last in-flight response has been written (or
-// dropped, when the peer hung up first).
+// SocketListener is one poll() loop thread that owns the listening
+// socket, a wake pipe and every connection (DESIGN.md §14): non-blocking
+// reads, a 64 KiB line cap, a per-connection outbound buffer whose
+// high-water mark pauses reading, and completion callbacks that only post
+// (connection id, line) to a mailbox and wake the loop.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/server.hpp"
 
 namespace nshot::serve {
+
+/// Splits a byte stream into newline-terminated lines.  A cursor marks
+/// how far the buffer is known to hold no newline, so every byte is
+/// scanned once however the stream is chunked.  A line longer than
+/// `max_line` comes out once as its first max_line + 1 bytes, as soon as
+/// they arrive; the rest of it, up to its newline, is dropped unbuffered.
+class LineSplitter {
+ public:
+  explicit LineSplitter(std::size_t max_line = std::string::npos) : max_line_(max_line) {}
+
+  void append(const char* data, std::size_t size);
+  /// Move the next line (without its newline) into `line`; false when no
+  /// complete line is buffered.
+  bool next(std::string& line);
+
+ private:
+  std::size_t max_line_;
+  std::string bytes_;
+  std::size_t begin_ = 0;    // start of the first unconsumed line
+  std::size_t scanned_ = 0;  // bytes_[begin_, scanned_) holds no newline
+  bool discarding_ = false;  // dropping the rest of an over-long line
+};
 
 class SocketListener {
  public:
@@ -30,26 +53,28 @@ class SocketListener {
   SocketListener(const SocketListener&) = delete;
   SocketListener& operator=(const SocketListener&) = delete;
 
-  /// Stop accepting, close every connection, join the threads and remove
-  /// the socket file.  Idempotent.  In-flight requests keep running in
-  /// the Server; their responses are dropped (connection gone).
+  /// Stop accepting, close every connection without waiting on any peer,
+  /// join the loop thread and remove the socket file.  Idempotent.
+  /// In-flight requests keep running in the Server; their responses are
+  /// dropped (connection gone).
   void stop();
 
   const std::string& path() const { return path_; }
 
  private:
   struct Connection;
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> connection);
+  struct Mailbox;
+  void run();
+  bool read_requests(std::uint64_t id, Connection& connection);
 
   std::string path_;
   Server& server_;
-  const int listen_fd_;  // immutable: accept_loop reads it without a lock
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
-  bool stopped_ = false;
+  std::shared_ptr<Mailbox> mailbox_;  // shared with pending completion callbacks
+  const int listen_fd_;
+  // Loop-thread state: stop() touches it only after joining the loop.
+  std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;
+  std::uint64_t next_id_ = 1;
+  std::thread loop_;  // last: starts once everything it uses exists
 };
 
 /// Blocking NDJSON client for --connect, load_replay and the tests.
@@ -74,7 +99,7 @@ class SocketClient {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  LineSplitter buffer_;
 };
 
 }  // namespace nshot::serve

@@ -65,18 +65,6 @@ bool StateSet::empty() const {
   return true;
 }
 
-bool StateSet::intersects(const StateSet& other) const {
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    if (words_[w] & other.words_[w]) return true;
-  return false;
-}
-
-bool StateSet::contains_all(const StateSet& other) const {
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    if (other.words_[w] & ~words_[w]) return false;
-  return true;
-}
-
 std::vector<StateId> StateSet::to_vector() const {
   std::vector<StateId> members;
   members.reserve(count());

@@ -67,9 +67,6 @@ class StateSet {
 
   std::size_t count() const;
   bool empty() const;
-  bool intersects(const StateSet& other) const;
-  /// Superset test: every member of `other` is a member of this set.
-  bool contains_all(const StateSet& other) const;
 
   friend bool operator==(const StateSet& a, const StateSet& b) {
     return a.universe_ == b.universe_ && a.words_ == b.words_;

@@ -66,10 +66,6 @@ class CompiledNetlist {
     return {fanout_gate_.data() + begin, end - begin};
   }
 
-  /// Packed input code i of gate `g`: (net << 1) | inverted.
-  std::uint32_t input_code(const CompiledGate& g, std::size_t i) const {
-    return input_code_[g.first_input + i];
-  }
   /// The flat code array; hot loops index it with CompiledGate::first_input.
   const std::uint32_t* input_codes() const { return input_code_.data(); }
 

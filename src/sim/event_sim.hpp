@@ -201,10 +201,6 @@ class Simulator {
   /// flip-flops (the hazard filter of Figure 5 doing its job).
   long mhs_absorbed_pulses() const { return mhs_absorbed_; }
 
-  /// The per-gate delay assignment of this run (sampled, explicit, or
-  /// overridden) — the witness the fault harness minimizes.
-  const std::vector<double>& gate_delays() const { return gate_delay_; }
-
   std::uint64_t events_processed() const { return events_processed_; }
   /// True once the event budget (SimulatorOptions::max_events) was hit;
   /// step() then refuses to process further events.
@@ -212,7 +208,6 @@ class Simulator {
 
   const netlist::Netlist& circuit() const { return compiled_->netlist(); }
   const CompiledNetlist& compiled() const { return *compiled_; }
-  QueueKind queue_kind() const { return events_.kind(); }
 
  private:
   struct MhsState {

@@ -86,7 +86,7 @@ void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator&
     }
 
     const double event_time = sim.has_pending_events() ? sim.next_event_time() : kNever;
-    const double decision_time = decision ? decision->time : kNever;
+    double decision_time = decision ? decision->time : kNever;
     const double injection_time = next_injection < config.injections.size()
                                       ? std::max(config.injections[next_injection].time, sim.now())
                                       : kNever;
@@ -111,10 +111,10 @@ void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator&
       continue;
     }
     if (decision) {
-      if (config.fundamental_mode && decision->time < sim.now())
-        decision->time = sim.now();  // the circuit outlasted the planned instant
+      if (config.fundamental_mode && decision_time < sim.now())
+        decision_time = sim.now();  // the circuit outlasted the planned instant
       sim.set_input(signal_net[static_cast<std::size_t>(decision->label.signal)],
-                    decision->label.rising, decision->time);
+                    decision->label.rising, decision_time);
       // Commit the input immediately (it is the earliest pending event) so
       // the spec state advances before the next decision is made.
       sim.step();

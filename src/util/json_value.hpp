@@ -1,12 +1,11 @@
 // Minimal JSON document parser — the read-side counterpart of JsonWriter.
 //
-// The serve wire protocol (schemas/request.schema.json) and the batch
-// journal are newline-delimited JSON; until now the repository only ever
-// WROTE JSON (JsonWriter) and read its own output back with string scans
-// (BatchRunner::journal_field).  A server that accepts requests from
-// arbitrary clients needs a real parser: this one is dependency-free,
-// recursive-descent over RFC 8259, with a depth cap and a size cap so a
-// hostile request line cannot recurse or allocate without bound.
+// The serve wire protocol (schemas/request.schema.json) and the run
+// journal are newline-delimited JSON, read back through this parser.  It
+// is dependency-free, recursive-descent over RFC 8259, with a depth cap so
+// a hostile request line cannot recurse without bound.  It has no size
+// cap of its own: callers bound the input (serve::parse_request rejects a
+// line longer than kMaxParserLine before parsing it).
 //
 // Values are held in an immutable tree of JsonValue nodes.  Accessors are
 // checked: as_string() on a number throws Error(kInputInvalid) naming the
@@ -32,7 +31,6 @@ class JsonValue {
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Checked accessors; throw Error(kInputInvalid) on a kind mismatch.

@@ -71,7 +71,9 @@ void expect_same_drain(const std::vector<Event>& events) {
     const Event got = calendar.top();
     expect_same_event(got, want);
     // The stream itself must be sorted by (time, seq).
-    if (!first) EXPECT_TRUE(got.time > last_time || (got.time == last_time && got.seq > last_seq));
+    if (!first) {
+      EXPECT_TRUE(got.time > last_time || (got.time == last_time && got.seq > last_seq));
+    }
     first = false;
     last_time = got.time;
     last_seq = got.seq;

@@ -1,13 +1,21 @@
 // serve::Server end to end: fair-share admission (flood vs trickle),
 // deadline-aware and backlog rejection, graceful drain (no internal
-// errors, journal-resume parity with BatchRunner), the file-queue
-// transport, and the NDJSON protocol codecs.
+// errors, journal-resume parity with BatchRunner), the file-queue and
+// socket transports (including hostile clients and fd exhaustion), and
+// the NDJSON protocol codecs.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -23,6 +31,7 @@
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
 #include "util/json_value.hpp"
+#include "util/strings.hpp"
 
 namespace nshot::serve {
 namespace {
@@ -54,6 +63,88 @@ fs::path test_dir(const std::string& name) {
   fs::create_directories(dir);
   return dir;
 }
+
+/// A blocking raw connection to `path` (-1 when socket() or connect()
+/// fails), for clients that misbehave in ways SocketClient cannot.
+int raw_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_raw(int fd, const std::string& data) {
+  for (std::size_t sent = 0; sent < data.size();) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Next line from a raw connection, waiting at most `timeout`; empty on
+/// timeout or EOF (so a server that never answers fails the test instead
+/// of hanging it).
+std::string recv_within(int fd, LineSplitter& buffer, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::string line;
+  while (!buffer.next(line)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd ready{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&ready, 1, static_cast<int>(left.count())) <= 0) return "";
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) return "";
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  return line;
+}
+
+std::string error_code_of(const std::string& response_line) {
+  const JsonValue doc = parse_json(response_line, "response");
+  const JsonValue* error = doc.find("error");
+  return error ? error->string_or("code", "") : "";
+}
+
+/// Threads of this process (Linux).
+int thread_count() {
+  int threads = 0;
+  for ([[maybe_unused]] const auto& task : fs::directory_iterator("/proc/self/task")) ++threads;
+  return threads;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE to just above its highest
+/// open descriptor plus `headroom`; restores the old limit on destruction.
+class FdLimit {
+ public:
+  explicit FdLimit(int headroom) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    int highest = 0;
+    for (const auto& entry : fs::directory_iterator("/proc/self/fd"))
+      highest = std::max(highest, std::stoi(entry.path().filename().string()));
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(highest + 1 + headroom);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+    ::getrlimit(RLIMIT_NOFILE, &lowered);  // what actually took effect
+    soft_ = static_cast<int>(std::min<rlim_t>(lowered.rlim_cur, 1 << 20));
+  }
+  ~FdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  FdLimit(const FdLimit&) = delete;
+  FdLimit& operator=(const FdLimit&) = delete;
+
+  int soft() const { return soft_; }
+
+ private:
+  rlimit saved_{};
+  int soft_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Protocol
@@ -91,6 +182,36 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(R"({"client":"c","spec":"a","g_text":"b"})"), Error);
   EXPECT_THROW(parse_request(R"({"client":"c","spec":"a","bogus":1})"), Error);
   EXPECT_THROW(parse_request(R"({"client":"c","spec":"a","overrides":{"nope":1}})"), Error);
+  // Over the request-size cap: rejected on length, before any parsing.
+  const std::string padded =
+      R"({"client":"c","spec":")" + std::string(kMaxParserLine, 'a') + R"("})";
+  EXPECT_THROW(parse_request(padded), Error);
+}
+
+TEST(ProtocolTest, LineSplitterSplitsAcrossChunksAndCapsLines) {
+  LineSplitter splitter(4);
+  std::string line;
+  splitter.append("ab\nc", 4);
+  ASSERT_TRUE(splitter.next(line));
+  EXPECT_EQ(line, "ab");
+  EXPECT_FALSE(splitter.next(line));
+  splitter.append("d\n\nef", 5);
+  ASSERT_TRUE(splitter.next(line));
+  EXPECT_EQ(line, "cd");
+  ASSERT_TRUE(splitter.next(line));
+  EXPECT_EQ(line, "");
+  EXPECT_FALSE(splitter.next(line));
+  // Over the cap: the head comes out at once, the tail is dropped up to
+  // its newline, and the next line is whole again.
+  splitter.append("ghi", 3);
+  ASSERT_TRUE(splitter.next(line));
+  EXPECT_EQ(line, "efghi");
+  splitter.append("jklmnop", 7);
+  EXPECT_FALSE(splitter.next(line));
+  splitter.append("q\nrs\n", 6);
+  ASSERT_TRUE(splitter.next(line));
+  EXPECT_EQ(line, "rs");
+  EXPECT_FALSE(splitter.next(line));
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +341,7 @@ TEST(ServerTest, FairShareKeepsTheTrickleClientResponsive) {
   std::ifstream journal(options.journal_path);
   std::string line;
   while (std::getline(journal, line)) {
-    const std::string id = journal_field(line, "id");
+    const std::string id = parse_json(line, "journal line").string_or("id", "");
     if (id != "plug") order.push_back(id);
   }
   ASSERT_EQ(order.size(), 14u);
@@ -310,6 +431,52 @@ TEST(DrainTest, DrainIsIdempotentAndCountsRejections) {
   EXPECT_EQ(server.stats().rejected, 1);
 }
 
+// Ids and messages come from wire clients, so the journal must round-trip
+// any string: a server and a BatchRunner resuming from it read back the
+// exact id and failure message, and no id aliases another's line.
+TEST(JournalTest, ResumesIdsAndMessagesWithQuotesBackslashesAndNewlines) {
+  const fs::path dir = test_dir("journal_escapes");
+  ServeOptions options = quiet_serve();
+  options.journal_path = (dir / "journal.jsonl").string();
+  const std::vector<std::string> ids = {"job\"1", "back\\slash", "two\nlines"};
+  std::vector<Response> first;
+  {
+    Server server(options);
+    for (const std::string& id : ids) {
+      WireRequest wire;
+      wire.request.id = id;
+      wire.request.spec = "bench:" + id;  // fails; the message quotes the id
+      first.push_back(server.enqueue(wire).get());
+    }
+  }
+  Server reborn(options);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_FALSE(first[i].outcome.ok());
+    ASSERT_NE(first[i].outcome.message.find(ids[i]), std::string::npos);
+    const std::string line = reborn.journaled(ids[i]);
+    ASSERT_NE(line, "") << ids[i];
+    const BatchRunResult resumed = journal_result(ids[i], line);
+    EXPECT_EQ(resumed.code, first[i].outcome.code);
+    EXPECT_EQ(resumed.stage, first[i].outcome.stage);
+    EXPECT_EQ(resumed.message, first[i].outcome.message);
+  }
+  EXPECT_EQ(reborn.journaled("job\\"), "");  // what a scan to the first quote reads
+
+  BatchOptions bopt;
+  bopt.pipeline = quiet_serve().pipeline;
+  bopt.journal_path = options.journal_path;
+  std::vector<BatchEntry> entries;
+  for (const std::string& id : ids) entries.push_back(BatchEntry{id, "bench:" + id, {}});
+  const BatchSummary summary = BatchRunner(bopt).run(entries);
+  EXPECT_EQ(summary.resumed, 3);
+  EXPECT_EQ(summary.executed, 0);
+  ASSERT_EQ(summary.runs.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(summary.runs[i].id, ids[i]);
+    EXPECT_EQ(summary.runs[i].message, first[i].outcome.message);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // File-queue transport
 // ---------------------------------------------------------------------------
@@ -328,14 +495,16 @@ TEST(FileQueueTest, AnswersRequestsResumesAndRestoresDrainEvictions) {
   drop("a", R"({"id":"a","client":"ci","kind":"synthesis","spec":"gen:7"})");
   drop("b", R"({"id":"b","client":"ci","spec":"bench:no-such"})");
   drop("c", R"(this is not json)");
+  drop("e", R"({"id":"e","client":"ci","spec":")" + std::string(4 * kMaxParserLine, 'a') + R"("})");
 
   {
     Server server(options);
     FileQueueOptions fq;
     fq.dir = queue.string();
     FileQueueWorker worker(fq, server);
-    EXPECT_EQ(worker.scan_once(), 3);
+    EXPECT_EQ(worker.scan_once(), 4);
     server.drain();  // waits for in-flight completions
+    EXPECT_EQ(server.stats().rejected, 2);  // the malformed and the oversized request
   }
   auto read_response = [&](const std::string& name) {
     std::ifstream in(queue / (name + ".resp.json"));
@@ -348,6 +517,7 @@ TEST(FileQueueTest, AnswersRequestsResumesAndRestoresDrainEvictions) {
   const JsonValue malformed = read_response("c");
   EXPECT_FALSE(malformed.bool_or("ok", true));
   EXPECT_EQ(malformed.at("error").string_or("code", ""), "input_invalid");
+  EXPECT_EQ(read_response("e").at("error").string_or("code", ""), "input_invalid");
 
   // Re-drop "a": the journal answers it without executing.
   fs::remove(queue / "a.resp.json");
@@ -421,6 +591,193 @@ TEST(SocketTest, StopWakesAListenerBlockedInAccept) {
   EXPECT_FALSE(fs::exists(path));
   EXPECT_THROW(SocketClient client(path), Error);
   listener.stop();  // idempotent
+  server.drain();
+}
+
+
+// Every connection is served by the listener's one loop thread.
+TEST(SocketTest, OneLoopThreadServesEveryConnection) {
+  const fs::path dir = test_dir("socket_threads");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  std::vector<std::unique_ptr<SocketClient>> clients;
+  clients.push_back(std::make_unique<SocketClient>(path));
+  ASSERT_NE(clients.front()->roundtrip(gen_request("a", "warm", 7)), "");  // pool is up
+  const int threads = thread_count();
+  for (int c = 1; c < 20; ++c) {
+    clients.push_back(std::make_unique<SocketClient>(path));
+    ASSERT_NE(clients.back()->roundtrip(gen_request("a", "c" + std::to_string(c), 7)), "");
+  }
+  EXPECT_EQ(thread_count(), threads);
+  clients.clear();
+  listener.stop();
+  server.drain();
+}
+
+// Lines that fail parse_request are answered input_invalid and counted in
+// the server's rejected stat, like admission rejections.
+TEST(SocketTest, CountsParseRejections) {
+  const fs::path dir = test_dir("socket_rejected");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  SocketClient client(path);
+  for (const std::string bad : {"not json", "{}", R"({"client":"c","spec":"a","bogus":1})"}) {
+    client.send_line(bad);
+    EXPECT_EQ(error_code_of(client.recv_line()), "input_invalid") << bad;
+  }
+  EXPECT_EQ(server.stats().rejected, 3);
+  listener.stop();
+  server.drain();
+}
+
+// A client that half-closes after its last request (shutdown(SHUT_WR))
+// still gets every response it is owed; then the server closes its end.
+TEST(SocketTest, AnswersAClientThatHalfClosesAfterSending) {
+  const fs::path dir = test_dir("socket_halfclose");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  const int fd = raw_connect(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_raw(fd, request_json(gen_request("a", "half", 7)) + "\nnot json\n"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  LineSplitter buffer;
+  std::vector<std::string> codes;
+  for (int i = 0; i < 2; ++i) {
+    const std::string line = recv_within(fd, buffer, std::chrono::seconds(30));
+    ASSERT_NE(line, "") << "response " << i << " never arrived";
+    codes.push_back(error_code_of(line));
+  }
+  std::sort(codes.begin(), codes.end());
+  EXPECT_EQ(codes, (std::vector<std::string>{"", "input_invalid"}));
+  pollfd closed{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&closed, 1, 10000), 1) << "the server kept the connection open";
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // EOF
+  ::close(fd);
+  listener.stop();
+  server.drain();
+}
+
+// A client that writes a flood of bad lines and never reads its responses
+// must not wedge the server: the loop stops reading it once its outbound
+// buffer is full, and stop() still returns promptly.
+TEST(SocketTest, StopReturnsWhileAClientNeverReads) {
+  const fs::path dir = test_dir("socket_unread");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  const int fd = raw_connect(path);
+  ASSERT_GE(fd, 0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  std::string block;  // whole 256-byte invalid lines
+  while (block.size() < 65536) block += std::string(255, 'x') + "\n";
+  std::size_t written = 0;
+  while (written < (std::size_t{1} << 20)) {
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 2000) <= 0) break;  // the server stopped reading
+    const std::size_t at = written % block.size();
+    const ssize_t n = ::send(fd, block.data() + at, block.size() - at, MSG_NOSIGNAL);
+    if (n > 0) written += static_cast<std::size_t>(n);
+  }
+  EXPECT_GE(written, std::size_t{1} << 20);
+  auto stopped = std::async(std::launch::async, [&] { listener.stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(fd);  // releases a server that is blocked writing to this client
+  stopped.get();
+  EXPECT_TRUE(prompt) << "stop() waited on a client that never reads";
+  server.drain();
+}
+
+// A 4 MiB unterminated line is rejected once, as soon as it passes the
+// request-size cap; its tail is dropped up to the newline, after which the
+// same connection is served again, and so is a new one.
+TEST(SocketTest, RejectsAnOverlongLineOnceAndKeepsServing) {
+  const fs::path dir = test_dir("socket_overlong");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  const int fd = raw_connect(path);
+  ASSERT_GE(fd, 0);
+  LineSplitter buffer;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(send_raw(fd, std::string(std::size_t{4} << 20, 'x')));
+  const std::string rejected = recv_within(fd, buffer, std::chrono::seconds(1));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  ASSERT_NE(rejected, "") << "no response before the newline";
+  EXPECT_EQ(error_code_of(rejected), "input_invalid");
+
+  ASSERT_TRUE(send_raw(fd, "tail\n" + request_json(gen_request("a", "after", 7)) + "\n"));
+  const std::string after = recv_within(fd, buffer, std::chrono::seconds(30));
+  ASSERT_NE(after, "");
+  const JsonValue doc = parse_json(after, "response");
+  EXPECT_EQ(doc.string_or("id", ""), "after");
+  EXPECT_TRUE(doc.bool_or("ok", false)) << after;
+  ::close(fd);
+
+  SocketClient fresh(path);
+  const JsonValue next = parse_json(fresh.roundtrip(gen_request("a", "fresh", 7)), "response");
+  EXPECT_TRUE(next.bool_or("ok", false));
+  EXPECT_EQ(server.stats().rejected, 1);
+  listener.stop();
+  server.drain();
+}
+
+// Closed connections give their fd back at once, and running out of fds
+// only pauses accept(): with the soft fd limit lowered, twice that many
+// sequential connections are answered, and after accept() has failed with
+// EMFILE while the fd table is full, freeing it lets a new connection in.
+TEST(SocketTest, SurvivesTheFdLimit) {
+  const fs::path dir = test_dir("socket_fds");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+  const std::string request = request_json(gen_request("a", "r", 7)) + "\n";
+  {
+    FdLimit limit(16);
+    ASSERT_LT(limit.soft(), 1024) << "could not lower RLIMIT_NOFILE";
+    for (int i = 0; i < 2 * limit.soft(); ++i) {
+      const int fd = raw_connect(path);
+      ASSERT_GE(fd, 0) << "connection " << i << " of " << 2 * limit.soft();
+      LineSplitter buffer;
+      ASSERT_TRUE(send_raw(fd, request));
+      const std::string reply = recv_within(fd, buffer, std::chrono::seconds(10));
+      ::close(fd);
+      ASSERT_NE(reply, "") << "connection " << i << " of " << 2 * limit.soft() << " unanswered";
+    }
+
+    // Hold two answered connections, fill the rest of the fd table, and
+    // leave one connection pending in the backlog: accept() hits EMFILE.
+    std::vector<int> held;
+    for (int i = 0; i < 2; ++i) {
+      held.push_back(raw_connect(path));
+      ASSERT_GE(held.back(), 0);
+      LineSplitter buffer;
+      ASSERT_TRUE(send_raw(held.back(), request));
+      ASSERT_NE(recv_within(held.back(), buffer, std::chrono::seconds(10)), "");
+    }
+    std::vector<int> filler;
+    for (int fd; (fd = ::dup(held.front())) >= 0;) filler.push_back(fd);
+    ASSERT_EQ(errno, EMFILE);
+    ::close(filler.back());
+    filler.pop_back();
+    held.push_back(raw_connect(path));  // reuses the freed fd; the server cannot accept it
+    ASSERT_GE(held.back(), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    for (const int fd : filler) ::close(fd);
+    for (const int fd : held) ::close(fd);
+
+    const int fd = raw_connect(path);
+    ASSERT_GE(fd, 0);
+    LineSplitter buffer;
+    ASSERT_TRUE(send_raw(fd, request));
+    EXPECT_NE(recv_within(fd, buffer, std::chrono::seconds(10)), "")
+        << "the listener stopped accepting after EMFILE";
+    ::close(fd);
+  }
+  listener.stop();
   server.drain();
 }
 

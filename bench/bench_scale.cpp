@@ -12,10 +12,10 @@
 //                     per-signal floods) vs the test-only oracle
 //                     sg::reference::compute_regions;
 //   * coding        — check_csc / check_usc / count_csc_conflicts /
-//                     detonant_states vs the sg::reference oracles and
-//                     count_csc_conflicts_reference;
+//                     detonant_states vs the sg::reference oracles;
 //   * trigger       — enforce_trigger_requirement, supercube-containment
-//                     fast path vs the code-at-a-time reference membership;
+//                     membership vs the code-at-a-time oracle
+//                     core::reference::enforce_trigger_requirement;
 //   * reachability  — build_state_graph, the serial flat-arena sweep with
 //                     consumer-indexed mask firing, vs the test-only
 //                     oracle (loop firing over an ordered std::map).
@@ -52,6 +52,7 @@
 #include "obs/obs.hpp"
 #include "oracles/reachability_reference.hpp"
 #include "oracles/sg_reference.hpp"
+#include "oracles/trigger_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
@@ -222,7 +223,7 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
     coding_ref_t.sample([&] {
       reference_coding = sg::reference::check_csc(g).violations.size() +
                          sg::reference::check_usc(g).violations.size() +
-                         sg::count_csc_conflicts_reference(g);
+                         sg::reference::count_csc_conflicts(g);
       for (const sg::SignalId a : noninput)
         reference_coding += sg::reference::detonant_states(g, a).size();
     });
@@ -276,11 +277,11 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
     trigger_ref_t.sample([&] {
       for (int i = 0; i < trigger_repeats; ++i)
         reference_report =
-            core::enforce_trigger_requirement(g, regions, derived, reference_cover, {true});
+            core::reference::enforce_trigger_requirement(g, regions, derived, reference_cover);
     });
     trigger_fast_t.sample([&] {
       for (int i = 0; i < trigger_repeats; ++i)
-        fast_report = core::enforce_trigger_requirement(g, regions, derived, fast_cover, {false});
+        fast_report = core::enforce_trigger_requirement(g, regions, derived, fast_cover);
     });
   }
   timing.trigger_reference_ms = trigger_ref_t.best;

@@ -106,16 +106,12 @@ int csc_conflict_count(const sg::StateGraph& graph) {
 std::optional<CscSolveResult> solve_csc(const stg::Stg& source, const CscSolveOptions& options) {
   stg::ReachabilityOptions reach;
   reach.max_states = options.max_states;
-  const auto count_conflicts = [&options](const sg::StateGraph& g) {
-    return options.reference_kernels ? static_cast<int>(sg::count_csc_conflicts_reference(g))
-                                     : csc_conflict_count(g);
-  };
 
   stg::Stg current = source;
   sg::StateGraph graph = stg::build_state_graph(current, reach);
   NSHOT_REQUIRE(sg::check_consistency(graph).ok() && sg::check_semi_modular(graph).ok(),
                 "CSC solving expects a consistent semi-modular specification");
-  int conflicts = count_conflicts(graph);
+  int conflicts = csc_conflict_count(graph);
 
   CscSolveResult result{current, graph, 0, {}};
   while (conflicts > 0) {
@@ -151,7 +147,7 @@ std::optional<CscSolveResult> solve_csc(const stg::Stg& source, const CscSolveOp
           sg::StateGraph candidate = stg::build_state_graph(candidate_stg, reach);
           if (!sg::check_consistency(candidate).ok()) continue;
           if (!sg::check_semi_modular(candidate).ok()) continue;
-          const int candidate_conflicts = count_conflicts(candidate);
+          const int candidate_conflicts = csc_conflict_count(candidate);
           if (candidate_conflicts < best_conflicts) {
             best_conflicts = candidate_conflicts;
             best_stg = std::move(candidate_stg);

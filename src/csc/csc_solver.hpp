@@ -31,10 +31,6 @@ namespace nshot::csc {
 struct CscSolveOptions {
   int max_signals = 4;            // insertion budget
   std::size_t max_states = 1u << 18;
-  // Route the candidate-evaluation conflict counting through the ordered
-  // reference implementation (sg::count_csc_conflicts_reference) instead of
-  // the count-only fast path — byte-equality oracle for tests/benches.
-  bool reference_kernels = false;
 };
 
 struct CscSolveResult {

@@ -124,7 +124,7 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const SearchSpace& box,
   // in the delay vector, so accepted steps are genuine descents.
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-  sim::TrialRunner runner(compiled, options.reference_kernels);
+  sim::TrialRunner runner(compiled);
   MarginProbe probe(compiled.netlist(), compiled.lib());
 
   RestartOutcome out;
@@ -251,9 +251,9 @@ MonteCarloResult stressed_monte_carlo(const sg::StateGraph& spec,
   };
   std::vector<Trial> trials(static_cast<std::size_t>(std::max(runs, 0)));
   exec::parallel_for_chunks(
-      runs, options.grain > 0 ? options.grain : exec::batch_grain(runs, options.jobs),
+      runs, exec::batch_grain(runs, options.jobs),
       [&](int begin, int end) {
-        sim::TrialRunner runner(compiled, options.reference_kernels);
+        sim::TrialRunner runner(compiled);
         MarginProbe probe(circuit, compiled.lib());
         for (int r = begin; r < end; ++r) {
           const std::uint64_t seed = run_seed(options.seed, r);

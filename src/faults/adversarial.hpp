@@ -22,12 +22,11 @@
 
 namespace nshot::faults {
 
-/// seed / jobs / grain / reference_kernels are the inherited
-/// nshot::RunConfig knobs.  Restarts run on independent (seed, restart)
-/// streams and merge in restart order — including the serial early-exit
-/// rule (restarts after the first violating one are discarded) — so the
-/// result is identical for every jobs value.  Monte Carlo baseline runs
-/// parallelize the same way.
+/// seed / jobs are the inherited nshot::RunConfig knobs.  Restarts run on
+/// independent (seed, restart) streams and merge in restart order —
+/// including the serial early-exit rule (restarts after the first
+/// violating one are discarded) — so the result is identical for every
+/// jobs value.  Monte Carlo baseline runs parallelize the same way.
 struct AdversarialOptions : RunConfig {
   int restarts = 2;
   int iterations = 250;        // accepted-or-rejected proposals per restart

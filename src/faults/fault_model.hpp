@@ -85,17 +85,16 @@ sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOpt
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options,
                                 std::vector<double> delays);
 
-/// Run one scenario of `circuit` against `spec` on the reference driver
-/// (sim::run_closed_loop) — the thin reference-mode wrapper one-off runs
-/// (tests, benches) use.
+/// Run one scenario of `circuit` against `spec` on the reference trial
+/// (sim::run_closed_loop) — the thin wrapper one-off runs (tests, benches)
+/// use.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options,
                                     sim::VcdRecorder* recorder = nullptr);
 
 /// The same scenario on `runner` (sim/trial_runner.hpp) against
-/// runner.compiled() — the fused engine, or the reference when the runner
-/// was built with reference_kernels.
+/// runner.compiled().
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options, sim::TrialRunner& runner,

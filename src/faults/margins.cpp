@@ -275,35 +275,49 @@ void collect_margins(const MarginProbe& probe, std::vector<Eq1Margin> eq1, Probe
 
 }  // namespace
 
+namespace {
+
+/// The closed-loop config of one probed run, with `probe` reset and
+/// attached.  The materialized delay vector moves in as the explicit
+/// assignment — the one copy of it a probed run makes; the Eq. 1
+/// evaluation reads it back from config.sim.explicit_delays.
+sim::ClosedLoopConfig probed_config(const sim::CompiledNetlist& compiled,
+                                    const FaultScenario& scenario, const ScenarioOptions& options,
+                                    MarginProbe& probe) {
+  probe.reset();
+  sim::ClosedLoopConfig config =
+      to_config(scenario, options, materialize_delays(compiled, scenario));
+  config.observer = probe.observer();
+  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
+  return config;
+}
+
+}  // namespace
+
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe_reuse) {
   const sim::CompiledNetlist& compiled = runner.compiled();
   std::optional<MarginProbe> local;
-  MarginProbe* probe = probe_reuse;
-  if (probe != nullptr)
-    probe->reset();
-  else
-    probe = &local.emplace(compiled.netlist(), compiled.lib());
-  // The materialized delay vector moves in as the explicit assignment —
-  // the one copy of it a probed run makes; the Eq. 1 evaluation reads it
-  // back from config.sim.explicit_delays.
-  sim::ClosedLoopConfig config =
-      to_config(scenario, options, materialize_delays(compiled, scenario));
-  config.observer = probe->observer();
-  config.on_initialized = [probe](const sim::Simulator& sim) { probe->capture_initial(sim); };
-
+  MarginProbe& probe =
+      probe_reuse != nullptr ? *probe_reuse : local.emplace(compiled.netlist(), compiled.lib());
+  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
   ProbedRun run;
   run.report = runner.run(spec, binding, config);
-  collect_margins(*probe, eq1_margins(compiled, config.sim.explicit_delays), run);
+  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
   return run;
 }
 
 ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                      const FaultScenario& scenario, const ScenarioOptions& options) {
-  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  sim::TrialRunner runner(compiled, /*reference_kernels=*/true);
-  return run_probed(spec, sim::SpecBinding(spec, circuit), scenario, options, runner);
+  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
+  const sim::CompiledNetlist compiled(circuit, lib);
+  MarginProbe probe(circuit, lib);
+  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
+  ProbedRun run;
+  run.report = sim::run_closed_loop(spec, circuit, config);
+  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
+  return run;
 }
 
 }  // namespace nshot::faults

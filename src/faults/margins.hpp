@@ -157,15 +157,14 @@ struct ProbedRun {
 };
 
 /// One probed run on `runner` (sim/trial_runner.hpp) against
-/// runner.compiled() — the fused engine, or the reference when the runner
-/// was built with reference_kernels.  `probe` (optional) is reset and
-/// reused instead of constructing a MarginProbe per run.
+/// runner.compiled().  `probe` (optional) is reset and reused instead of
+/// constructing a MarginProbe per run.
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe = nullptr);
 
-/// Thin reference-mode wrapper for one-off runs (tests, benches): compiles
-/// `circuit` and runs the overload above on a reference TrialRunner.
+/// The same probed run on the reference trial (sim::run_closed_loop) —
+/// the thin wrapper one-off runs (tests, benches) use.
 ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                      const FaultScenario& scenario, const ScenarioOptions& options);
 

@@ -65,10 +65,10 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
     std::vector<ProbedRun> probed(static_cast<std::size_t>(std::max(options.margin_runs, 0)));
     exec::parallel_for_chunks(
         options.margin_runs,
-        options.grain > 0 ? options.grain : exec::batch_grain(options.margin_runs, options.jobs),
+        exec::batch_grain(options.margin_runs, options.jobs),
         [&](int begin, int end) {
           // One TrialRunner and one reused MarginProbe per chunk.
-          sim::TrialRunner runner(compiled, options.reference_kernels);
+          sim::TrialRunner runner(compiled);
           MarginProbe probe(circuit, lib);
           for (int r = begin; r < end; ++r) {
             FaultScenario scenario;
@@ -155,11 +155,9 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
     std::vector<FaultOutcome> outcomes(battery.size());
     exec::parallel_for_chunks(
         static_cast<int>(battery.size()),
-        options.grain > 0
-            ? options.grain
-            : exec::batch_grain(static_cast<int>(battery.size()), options.jobs),
+        exec::batch_grain(static_cast<int>(battery.size()), options.jobs),
         [&](int begin, int end) {
-          sim::TrialRunner runner(compiled, options.reference_kernels);
+          sim::TrialRunner runner(compiled);
           for (int j = begin; j < end; ++j) {
             const BatteryEntry& entry = battery[static_cast<std::size_t>(j)];
             FaultOutcome outcome;
@@ -190,9 +188,7 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
 
   // Phase 3: adversarial delay-stress search.
   if (options.adversarial.restarts > 0) {
-    AdversarialOptions adversarial = options.adversarial;
-    adversarial.reference_kernels |= options.reference_kernels;
-    report.adversarial = adversarial_delay_search(spec, circuit, adversarial);
+    report.adversarial = adversarial_delay_search(spec, circuit, options.adversarial);
     report.adversarial_ran = true;
   }
   return report;

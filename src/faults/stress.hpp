@@ -20,10 +20,9 @@
 
 namespace nshot::faults {
 
-/// seed / jobs / grain / reference_kernels are the inherited
-/// nshot::RunConfig knobs; runs and battery entries merge in their
-/// deterministic enumeration order, so the report (and its JSON) is
-/// byte-identical for every jobs value.  The nested adversarial search
+/// seed / jobs are the inherited nshot::RunConfig knobs; runs and battery
+/// entries merge in their deterministic enumeration order, so the report
+/// (and its JSON) is byte-identical for every jobs value.  The nested adversarial search
 /// parallelizes through its own `adversarial.jobs`.
 struct StressOptions : RunConfig {
   /// Probed runs feeding the margin report (distinct delay samples).

@@ -1,9 +1,7 @@
 #include "logic/exact.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <set>
-#include <unordered_set>
 
 #include "exec/cancel.hpp"
 #include "exec/thread_pool.hpp"
@@ -19,34 +17,10 @@ struct CubeKey {
   friend auto operator<=>(const CubeKey&, const CubeKey&) = default;
 };
 
-/// splitmix64-style mix over the packed (lo, hi) words.
-struct CubeKeyHash {
-  std::size_t operator()(const CubeKey& key) const {
-    std::uint64_t x = key.lo + 0x9e3779b97f4a7c15ULL * (key.hi + 1);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
 /// Recursively enumerate all maximal valid expansions of `cube`.
-/// Returns false if the prime cap was exceeded.  Generic over the key-set
-/// type: the hot path uses hashed sets, the reference path ordered sets;
-/// only membership and size are consulted, so the enumeration is
-/// container-independent.
-///
-/// kPrecheckVisited skips the off-set validity scan for candidates that
-/// were already expanded: `visited` only ever holds cubes that passed the
-/// scan (the seed is REQUIREd valid, and only valid candidates recurse),
-/// so membership implies validity and the revisit would return without
-/// touching `primes`.  The enumeration result is identical either way;
-/// the reference instantiation keeps the plain algorithm.
-template <typename KeySet, bool kPrecheckVisited>
-bool expand_all(const Cube& cube, const TwoLevelSpec& spec, int o, KeySet& visited,
-                KeySet& primes, std::size_t max_primes) {
+/// Returns false if the prime cap was exceeded.
+bool expand_all(const Cube& cube, const TwoLevelSpec& spec, int o, std::set<CubeKey>& visited,
+                std::set<CubeKey>& primes, std::size_t max_primes) {
   const CubeKey key{cube.lo(), cube.hi()};
   if (!visited.insert(key).second) return true;
   bool maximal = true;
@@ -54,16 +28,9 @@ bool expand_all(const Cube& cube, const TwoLevelSpec& spec, int o, KeySet& visit
     if (cube.var_is_free(v)) continue;
     Cube candidate = cube;
     candidate.raise_var(v);
-    if constexpr (kPrecheckVisited) {
-      if (visited.contains(CubeKey{candidate.lo(), candidate.hi()})) {
-        maximal = false;  // visited implies valid, hence a strict expansion
-        continue;
-      }
-    }
     if (!spec.cube_valid_for_output(candidate, o)) continue;
     maximal = false;
-    if (!expand_all<KeySet, kPrecheckVisited>(candidate, spec, o, visited, primes, max_primes))
-      return false;
+    if (!expand_all(candidate, spec, o, visited, primes, max_primes)) return false;
   }
   if (maximal) {
     primes.insert(key);
@@ -189,44 +156,22 @@ class CoveringSolver {
 
 }  // namespace
 
-namespace {
-
-/// Run the prime enumeration with a concrete key-set type; returns the
-/// deduplicated prime keys, or std::nullopt if the cap was exceeded.
-template <typename KeySet, bool kPrecheckVisited>
-std::optional<std::vector<CubeKey>> enumerate_prime_keys(const TwoLevelSpec& spec, int o,
-                                                         std::size_t max_primes) {
-  KeySet visited;
-  KeySet prime_keys;
+std::optional<std::vector<Cube>> generate_primes(const TwoLevelSpec& spec, int o,
+                                                 const ExactOptions& options) {
+  // Ordered sets on the bit-packed keys: the primes come out in (lo, hi)
+  // order, which fixes the column order of the covering problem.
+  std::set<CubeKey> visited;
+  std::set<CubeKey> keys;
   for (const std::uint64_t code : spec.on(o)) {
     exec::checkpoint();
     const Cube seed = Cube::minterm(code, spec.num_inputs(), 1ULL << o);
-    NSHOT_REQUIRE(spec.cube_valid_for_output(seed, o),
-                  "on-minterm also appears in the off-set");
-    if (!expand_all<KeySet, kPrecheckVisited>(seed, spec, o, visited, prime_keys, max_primes))
-      return std::nullopt;
+    NSHOT_REQUIRE(spec.cube_valid_for_output(seed, o), "on-minterm also appears in the off-set");
+    if (!expand_all(seed, spec, o, visited, keys, options.max_primes)) return std::nullopt;
   }
-  return std::vector<CubeKey>(prime_keys.begin(), prime_keys.end());
-}
-
-}  // namespace
-
-std::optional<std::vector<Cube>> generate_primes(const TwoLevelSpec& spec, int o,
-                                                 const ExactOptions& options) {
-  // Hashed sets on the bit-packed keys are the hot path; an explicit sort
-  // afterwards reproduces the (lo, hi) iteration order the ordered
-  // reference sets give for free, so both paths emit identical primes.
-  std::optional<std::vector<CubeKey>> keys =
-      options.reference_kernels
-          ? enumerate_prime_keys<std::set<CubeKey>, false>(spec, o, options.max_primes)
-          : enumerate_prime_keys<std::unordered_set<CubeKey, CubeKeyHash>, true>(
-                spec, o, options.max_primes);
-  if (!keys) return std::nullopt;
-  if (!options.reference_kernels) std::sort(keys->begin(), keys->end());
 
   std::vector<Cube> primes;
-  primes.reserve(keys->size());
-  for (const CubeKey& key : *keys) {
+  primes.reserve(keys.size());
+  for (const CubeKey& key : keys) {
     Cube cube = Cube::full(spec.num_inputs(), 1ULL << o);
     for (int v = 0; v < spec.num_inputs(); ++v) {
       const std::uint64_t bit = 1ULL << v;

@@ -26,15 +26,11 @@ struct ExactOptions : RunConfig {
   std::size_t max_primes = 20000;
   /// Abort the covering search after this many branch-and-bound nodes.
   std::size_t max_nodes = 200000;
-  // The inherited RunConfig::reference_kernels enumerates prime keys
-  // through ordered std::set instead of the hashed hot path — for kernel
-  // equivalence tests and benchmarking only.  Both paths emit the primes
-  // in the same sorted (lo, hi) order.
 };
 
 /// All prime implicants of output `o` of `spec` (maximal cubes disjoint
-/// from the off-set that cover at least one on-minterm).  Returns
-/// std::nullopt if the prime cap is exceeded.
+/// from the off-set that cover at least one on-minterm), in ascending
+/// (lo, hi) key order.  Returns std::nullopt if the prime cap is exceeded.
 std::optional<std::vector<Cube>> generate_primes(const TwoLevelSpec& spec, int o,
                                                  const ExactOptions& options = {});
 

@@ -29,8 +29,8 @@
 //   gen:SEED     a seeded random semi-modular STG (bench_suite generator)
 //
 // and the keys override the shared RunConfig / stage knobs per run:
-//   seed, jobs, grain, runs (conformance trials), deadline_ms,
-//   stage_deadline_ms, verify_kernels, reference_kernels, stress, exact.
+//   seed, jobs, runs (conformance trials), deadline_ms, stage_deadline_ms,
+//   verify_kernels, stress, exact.
 #pragma once
 
 #include <map>
@@ -79,7 +79,7 @@ struct BatchRunResult {
   std::string message;
   int attempts = 0;   // executed attempts this invocation (0 when resumed)
   double elapsed_ms = 0.0;
-  int kernel_fallbacks = 0;  // stages degraded to reference kernels
+  int kernel_fallbacks = 0;  // stages that kept a reference result (verify_kernels)
   std::string payload;  // Response::payload_json() when record_payloads was set
 };
 

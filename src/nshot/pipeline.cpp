@@ -12,27 +12,6 @@ namespace nshot {
 
 namespace {
 
-/// Conformance with graceful kernel degradation: a kKernelMismatch raised
-/// by the verify_kernels cross-check is recorded and the sweep re-run once
-/// on the reference kernels — a miscompiled kernel should cost speed, not
-/// the run.  Any other error propagates.
-sim::ConformanceReport conformance_with_fallback(const sg::StateGraph& sg,
-                                                 const netlist::Netlist& circuit,
-                                                 const sim::ConformanceOptions& options,
-                                                 std::vector<std::string>& fallbacks) {
-  try {
-    return sim::check_conformance(sg, circuit, options);
-  } catch (const Error& e) {
-    if (e.code() != ErrorCode::kKernelMismatch) throw;
-    obs::count(obs::Counter::kKernelFallbacks);
-    fallbacks.push_back(std::string("conformance: ") + e.what());
-    sim::ConformanceOptions degraded = options;
-    degraded.reference_kernels = true;
-    degraded.verify_kernels = false;
-    return sim::check_conformance(sg, circuit, degraded);
-  }
-}
-
 /// Wall-clock budget of the next stage: min(per-stage budget, remaining
 /// run budget); 0 = unbounded.
 double stage_budget_ms(const RunConfig& run, const exec::CancelToken& run_token) {
@@ -71,8 +50,8 @@ void run_stage(const char* name, const RunConfig& run, const exec::CancelToken& 
 
 Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
   // Apply the shared RunConfig once, up front: every stage below sees the
-  // same seed / jobs / grain / reference_kernels regardless of what the
-  // caller left in the per-stage sub-structs.
+  // same seed / jobs / verify_kernels regardless of what the caller left
+  // in the per-stage sub-structs.
   options_.synthesis.apply_run_config(options_.run);
   options_.conformance.apply_run_config(options_.run);
   options_.stress.apply_run_config(options_.run);
@@ -154,9 +133,12 @@ RunOutcome Pipeline::run_with(const PipelineOptions& options, const sg::StateGra
       stage = "conformance";
       run_stage("conformance", options.run, run_token, [&] {
         result.conformance =
-            conformance_with_fallback(result.graph, result.synthesis.circuit,
-                                      options.conformance, result.kernel_fallbacks);
+            sim::check_conformance(result.graph, result.synthesis.circuit, options.conformance);
       });
+      if (!result.conformance.kernel_divergence.empty()) {
+        obs::count(obs::Counter::kKernelFallbacks);
+        result.kernel_fallbacks.push_back("conformance: " + result.conformance.kernel_divergence);
+      }
       result.conformance_ran = true;
       out.stages_completed.emplace_back("conformance");
     }

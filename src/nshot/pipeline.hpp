@@ -6,7 +6,7 @@
 //
 // plus an owned obs::Session so every run is traced and reportable
 // without the caller touching the observability layer.  The shared
-// nshot::RunConfig (seed / jobs / grain / reference_kernels) is applied
+// nshot::RunConfig (seed / jobs / verify_kernels / deadlines) is applied
 // once here and propagated to every stage's options, replacing the
 // per-stage copies callers previously had to keep in sync.
 //
@@ -63,9 +63,9 @@ struct PipelineRun {
   bool conformance_ran = false;
   faults::StressReport stress;  // default unless stress_ran
   bool stress_ran = false;
-  /// Graceful-degradation record: stages that raised kKernelMismatch
-  /// (verify_kernels divergence) and were re-run on the reference kernels.
-  /// Empty on a clean run.  Each entry is "<stage>: <mismatch detail>".
+  /// Graceful-degradation record: stages whose verify_kernels cross-check
+  /// diverged and kept the reference result instead.  Empty on a clean
+  /// run.  Each entry is "<stage>: <first divergence>".
   std::vector<std::string> kernel_fallbacks;
 
   /// Synthesized, conformant (when checked) and fault-clean (when stressed).
@@ -120,11 +120,10 @@ struct Request {
   std::shared_ptr<const sg::StateGraph> graph;
 
   /// Per-request overrides over the base RunConfig / stage knobs — the
-  /// same key set batch manifests accept: seed, jobs, grain, runs,
-  /// deadline_ms, stage_deadline_ms, verify_kernels, reference_kernels,
-  /// stress, exact.  Applied after `kind`, so `stress=1` can re-enable
-  /// the battery on a "conformance" request.  Unknown keys are rejected
-  /// as kInputInvalid.
+  /// same key set batch manifests accept: seed, jobs, runs, deadline_ms,
+  /// stage_deadline_ms, verify_kernels, stress, exact.  Applied after
+  /// `kind`, so `stress=1` can re-enable the battery on a "conformance"
+  /// request.  Unknown keys are rejected as kInputInvalid.
   std::map<std::string, std::string> overrides;
 
   /// The accepted override keys (shared with BatchRunner::parse_manifest).
@@ -165,11 +164,10 @@ class Pipeline {
   /// CancelToken budgeted to min(stage_deadline_ms, remaining run
   /// deadline_ms), with a Watchdog firing the token on wall-clock overrun
   /// so even non-polling work is cancelled at its next checkpoint.  A
-  /// kKernelMismatch from a verify_kernels stage is degraded
-  /// (reference-kernel retry, recorded in PipelineRun::kernel_fallbacks)
-  /// before it is ever reported as failure.  Never throws: every failure
-  /// — including spec-resolution problems, reported as stage "load" —
-  /// comes back as a classified RunOutcome.
+  /// verify_kernels divergence is not a failure: the stage keeps the
+  /// reference result and PipelineRun::kernel_fallbacks records it.
+  /// Never throws: every failure — including spec-resolution problems,
+  /// reported as stage "load" — comes back as a classified RunOutcome.
   ///
   /// Thread-safe for concurrent calls on one Pipeline: each call works on
   /// its own copy of the options and shares only immutable state (plus

@@ -49,8 +49,6 @@ void apply_override(PipelineOptions& options, const std::string& key, const std:
         parse_long(value, 0, std::numeric_limits<long>::max(), "seed"));
   else if (key == "jobs")
     options.run.jobs = parse_int(value, 0, 4096, "jobs");
-  else if (key == "grain")
-    options.run.grain = parse_int(value, 0, 1'000'000, "grain");
   else if (key == "runs")
     options.conformance.runs = parse_int(value, 0, 1'000'000, "runs");
   else if (key == "deadline_ms")
@@ -59,8 +57,6 @@ void apply_override(PipelineOptions& options, const std::string& key, const std:
     options.run.stage_deadline_ms = parse_double(value, 0, 1e9, "stage_deadline_ms");
   else if (key == "verify_kernels")
     options.run.verify_kernels = parse_flag(value);
-  else if (key == "reference_kernels")
-    options.run.reference_kernels = parse_flag(value);
   else if (key == "stress")
     options.stress_test = parse_flag(value);
   else if (key == "exact")
@@ -73,9 +69,8 @@ void apply_override(PipelineOptions& options, const std::string& key, const std:
 
 const std::set<std::string>& Request::known_override_keys() {
   static const std::set<std::string> keys = {
-      "seed",        "jobs",     "grain",           "runs",
-      "deadline_ms", "stage_deadline_ms", "verify_kernels", "reference_kernels",
-      "stress",      "exact"};
+      "seed",           "jobs",   "runs", "deadline_ms", "stage_deadline_ms",
+      "verify_kernels", "stress", "exact"};
   return keys;
 }
 

@@ -24,7 +24,6 @@
 #include "nshot/spec_derivation.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
-#include "util/run_config.hpp"
 
 namespace nshot::core {
 
@@ -48,23 +47,13 @@ struct TriggerReport {
   }
 };
 
-/// True if some single cube of `cover` feeding output `output` covers every
-/// code in `codes`.  Code-at-a-time scan — the reference membership kernel.
-bool has_trigger_cube(const logic::Cover& cover, int output,
-                      const std::vector<std::uint64_t>& codes);
-
-/// The inherited RunConfig::reference_kernels switches the membership
-/// check to the code-at-a-time has_trigger_cube scan instead of the
-/// supercube-containment fast path — the byte-equality oracle for
-/// tests/benches.
-struct TriggerOptions : RunConfig {};
-
 /// Check all trigger regions of all non-input signals against `cover` and
 /// repair violations by adding supercubes where possible.  `regions` must
-/// be compute_all_regions(sg).
+/// be compute_all_regions(sg).  Membership is one supercube-containment
+/// test per cube; the code-at-a-time scan it replaced is the test-only
+/// oracle in tests/oracles/trigger_reference.hpp.
 TriggerReport enforce_trigger_requirement(const sg::StateGraph& sg,
                                           const std::vector<sg::SignalRegions>& regions,
-                                          const DerivedSpec& derived, logic::Cover& cover,
-                                          const TriggerOptions& options = {});
+                                          const DerivedSpec& derived, logic::Cover& cover);
 
 }  // namespace nshot::core

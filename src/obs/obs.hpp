@@ -52,7 +52,7 @@ enum class Counter : int {
   kTriggerCubesAdded,        // Theorem 1 repair cubes
   kTrialsRun,                // closed-loop simulation trials
   kKernelMismatches,         // verify_kernels divergences detected
-  kKernelFallbacks,          // stages degraded to reference kernels
+  kKernelFallbacks,          // stages that kept the reference result
   kFaultsInjected,           // fault-battery entries evaluated
   kAdversarialEvaluations,   // hill-climb objective evaluations (nondet:
                              // parallel restarts run past the serial early exit)

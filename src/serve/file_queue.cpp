@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "nshot/journal.hpp"
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace nshot::serve {
@@ -43,27 +41,6 @@ void write_atomic(const fs::path& path, const std::string& body) {
     out << body << "\n";
   }
   fs::rename(tmp, path);
-}
-
-/// Response document for a request answered from the journal: carries the
-/// terminal verdict plus "resumed":true, with no timing (nothing ran).
-std::string resumed_response_json(const BatchRunResult& record) {
-  JsonWriter json;
-  json.begin_object();
-  json.key("id").value(record.id);
-  json.key("ok").value(record.ok);
-  json.key("resumed").value(true);
-  if (!record.ok) {
-    json.key("error").begin_object();
-    json.key("code").value(error_code_name(record.code));
-    json.key("stage").value(record.stage);
-    json.key("message").value(record.message);
-    json.end_object();
-  }
-  json.key("elapsed_ms").value(0.0);
-  json.key("attempts").value(0);
-  json.end_object();
-  return json.str();
 }
 
 bool drain_eviction(const Response& response) {
@@ -108,10 +85,8 @@ void FileQueueWorker::dispatch(const std::string& request_path) {
     return;
   }
 
-  const std::string journaled = server_.journaled(wire.request.id);
-  if (!journaled.empty()) {
-    server_.count_resumed();
-    write_atomic(response_path, resumed_response_json(journal_result(wire.request.id, journaled)));
+  if (const std::string resumed = server_.resume(wire.request.id); !resumed.empty()) {
+    write_atomic(response_path, resumed);
     fs::remove(claim);
     return;
   }

@@ -147,9 +147,31 @@ std::string Server::journaled(const std::string& id) const {
   return it == journaled_.end() ? std::string() : it->second;
 }
 
-void Server::count_resumed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.resumed;
+std::string Server::resume(const std::string& id) {
+  BatchRunResult record;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = journaled_.find(id);
+    if (it == journaled_.end()) return {};
+    ++stats_.resumed;
+    record = journal_result(id, it->second);
+  }
+  JsonWriter json;
+  json.begin_object();
+  json.key("id").value(record.id);
+  json.key("ok").value(record.ok);
+  json.key("resumed").value(true);
+  if (!record.ok) {
+    json.key("error").begin_object();
+    json.key("code").value(error_code_name(record.code));
+    json.key("stage").value(record.stage);
+    json.key("message").value(record.message);
+    json.end_object();
+  }
+  json.key("elapsed_ms").value(0.0);
+  json.key("attempts").value(0);
+  json.end_object();
+  return json.str();
 }
 
 Response Server::reject_unparsable(const std::string& id, const std::string& message) {

@@ -79,21 +79,22 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Submit a request; `done` fires exactly once with the terminal
-  /// Response — immediately (admission rejection, resume hit) or from a
-  /// worker thread after execution.  The callback must not block.
+  /// Response — immediately (admission rejection) or from a worker
+  /// thread after execution.  The callback must not block.
   void enqueue(const WireRequest& wire, ResponseCallback done);
 
   /// Future-flavored convenience over the callback form.
   std::future<Response> enqueue(const WireRequest& wire);
 
   /// The journal line of a previous incarnation's terminal result for
-  /// `id`, empty when none — transports use it to answer without
-  /// re-executing (resume parity with BatchRunner).
+  /// `id`, empty when none.
   std::string journaled(const std::string& id) const;
 
-  /// Record `id` as resumed in the stats (transports call this when they
-  /// answer from journaled()).
-  void count_resumed();
+  /// Resume parity with BatchRunner, for every transport: when `id` is
+  /// journaled, count it as resumed and return the wire answer — its
+  /// terminal verdict with "resumed":true and no timing, since nothing
+  /// ran.  Empty when `id` is not journaled: the transport enqueues it.
+  std::string resume(const std::string& id);
 
   /// Count a request the transport could not parse (parse_request threw
   /// `message`) as rejected, and return its input_invalid response.

@@ -234,6 +234,10 @@ bool SocketListener::read_requests(std::uint64_t id, Connection& connection) {
       connection.out += server_.reject_unparsable("", e.what()).to_json() + "\n";
       continue;
     }
+    if (const std::string resumed = server_.resume(wire.request.id); !resumed.empty()) {
+      connection.out += resumed + "\n";
+      continue;
+    }
     ++connection.pending;
     server_.enqueue(wire, [mailbox = mailbox_, id](const Response& response) {
       mailbox->post(id, response.to_json() + "\n");

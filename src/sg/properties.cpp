@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -284,19 +283,6 @@ std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int 
   for (const SignalId a : signals)
     result.push_back(detonant_scan(sg, excited[static_cast<std::size_t>(a)], jobs));
   return result;
-}
-
-std::size_t count_csc_conflicts_reference(const StateGraph& sg) {
-  std::map<std::uint64_t, std::vector<StateId>> by_code;
-  for (StateId s = 0; s < sg.num_states(); ++s) by_code[sg.code(s)].push_back(s);
-  std::size_t count = 0;
-  for (const auto& [code, states] : by_code) {
-    if (states.size() < 2) continue;
-    const std::uint64_t first = excited_noninput_mask(sg, states[0]);
-    for (std::size_t i = 1; i < states.size(); ++i)
-      if (excited_noninput_mask(sg, states[i]) != first) ++count;
-  }
-  return count;
 }
 
 bool is_distributive(const StateGraph& sg, SignalId a) { return detonant_states(sg, a).empty(); }

@@ -62,14 +62,6 @@ std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a, int jobs 
 /// sweep instead of one whole-graph edge pass per signal.
 std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int jobs = 1);
 
-/// count_csc_conflicts over a std::map from code to states, the
-/// ordered-container formulation the CSC solver runs under its frozen
-/// `reference_kernels` request field.  Counts only; builds no diagnostic
-/// strings.  The ordered-container check_csc, check_usc and
-/// detonant_states live in the test-only oracle
-/// (tests/oracles/sg_reference.hpp).
-std::size_t count_csc_conflicts_reference(const StateGraph& sg);
-
 /// Definition 4: the SG is distributive w.r.t. `a` iff no detonant states.
 bool is_distributive(const StateGraph& sg, SignalId a);
 

@@ -153,30 +153,31 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
     config.fundamental_mode = options.fundamental_mode;
     return config;
   };
-  std::vector<ConformanceReport> trials(static_cast<std::size_t>(std::max(options.runs, 0)));
+  const std::size_t runs = static_cast<std::size_t>(std::max(options.runs, 0));
+  std::vector<ConformanceReport> trials(runs);
+  std::vector<std::string> divergences(options.verify_kernels ? runs : 0);
   exec::parallel_for_chunks(
-      options.runs,
-      options.grain > 0 ? options.grain : exec::batch_grain(options.runs, options.jobs),
+      options.runs, exec::batch_grain(options.runs, options.jobs),
       [&](int begin, int end) {
-        // Chunk boundaries are a scheduling detail (they move with jobs /
-        // grain), so the span is task-scoped: dropped from deterministic
-        // exports, kept in wall-clock traces.
+        // Chunk boundaries are a scheduling detail (they move with jobs),
+        // so the span is task-scoped: dropped from deterministic exports,
+        // kept in wall-clock traces.
         const obs::Span chunk_span = obs::Span::task("trials", begin);
         obs::count(obs::Counter::kTrialsRun, end - begin);
-        TrialRunner runner(compiled, options.reference_kernels);  // one per chunk
+        TrialRunner runner(compiled);  // one per chunk
         for (int r = begin; r < end; ++r) {
           const ClosedLoopConfig config = trial_config(r);
           ConformanceReport trial = runner.run(spec, binding, config);
-          if (options.verify_kernels && !options.reference_kernels) {
+          if (options.verify_kernels) {
             if (testing::kernel_fault_injection()) ++trial.internal_toggles;
-            const ConformanceReport oracle =
-                TrialRunner(compiled, /*reference_kernels=*/true).run(spec, binding, config);
+            ConformanceReport oracle = run_closed_loop(spec, compiled.netlist(), config);
             if (const char* field = trial_mismatch_field(trial, oracle)) {
               obs::count(obs::Counter::kKernelMismatches);
-              throw Error(ErrorCode::kKernelMismatch,
-                          "compiled simulator diverged from reference on trial " +
-                              std::to_string(r) + " (seed " + std::to_string(config.sim.seed) +
-                              "): field " + field);
+              divergences[static_cast<std::size_t>(r)] =
+                  "compiled simulator diverged from the reference trial on trial " +
+                  std::to_string(r) + " (seed " + std::to_string(config.sim.seed) +
+                  "): field " + field;
+              trial = std::move(oracle);
             }
           }
           trials[static_cast<std::size_t>(r)] = std::move(trial);
@@ -186,6 +187,11 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
   ConformanceReport report;
   report.runs = options.runs;
   for (const ConformanceReport& trial : trials) merge_run(report, trial);
+  for (std::string& divergence : divergences)
+    if (!divergence.empty()) {
+      report.kernel_divergence = std::move(divergence);
+      break;
+    }
   return report;
 }
 

@@ -26,7 +26,7 @@ namespace nshot::sim {
 
 class VcdRecorder;
 
-/// The shared seed / jobs / grain / reference_kernels knobs live in
+/// The shared seed / jobs / verify_kernels knobs live in
 /// nshot::RunConfig; the old spellings (`options.seed`, `options.jobs`,
 /// ...) are inherited members and keep compiling unchanged.
 struct ConformanceOptions : RunConfig {
@@ -72,6 +72,11 @@ struct ConformanceReport {
   int deadlocks = 0;
   int budget_exhausted = 0;       // runs that hit the event budget
   std::vector<ConformanceViolation> violations;
+  /// Under verify_kernels: the first trial, by index, whose TrialRunner
+  /// report diverged from the reference trial ("... on trial r (seed s):
+  /// field f"); that trial's reference report is what the sweep merged.
+  /// Empty when nothing diverged or the cross-check was off.
+  std::string kernel_divergence;
 
   /// Average simulated time per observable transition (dynamic cycle-time
   /// proxy); 0 when nothing fired.
@@ -84,38 +89,36 @@ struct ConformanceReport {
 };
 
 namespace testing {
-/// Deterministic kernel-fault injection for exercising the
-/// verify_kernels / kKernelMismatch path end to end: while enabled, every
-/// compiled-kernel conformance trial's fingerprint is perturbed before the
-/// reference comparison, as if the compiled simulator had miscomputed a
-/// toggle count.  Reference-kernel trials are untouched, so a degraded
-/// retry under reference_kernels succeeds — exactly the failure mode the
-/// fallback machinery exists for.  Also enabled by the
-/// NSHOT_INJECT_KERNEL_FAULT environment variable (read once, at first
-/// query).  Test/CI hook only; never set in production runs.
+/// Deterministic kernel-fault injection for exercising the verify_kernels
+/// cross-check end to end: while enabled, every TrialRunner conformance
+/// trial's fingerprint is perturbed before the reference comparison, as if
+/// the fused engine had miscomputed a toggle count.  The reference trial
+/// is untouched, so the sweep keeps its reports and the result equals a
+/// clean run's.  Also enabled by the NSHOT_INJECT_KERNEL_FAULT environment
+/// variable (read once, at first query).  Test/CI hook only; never set in
+/// production runs.
 void set_kernel_fault_injection(bool enabled);
 bool kernel_fault_injection();
 }  // namespace testing
 
 /// Run `options.runs` randomized-delay closed-loop simulations of `circuit`
-/// against `spec`.
-///
-/// With `options.verify_kernels` set (and reference_kernels clear), every
-/// trial is run twice — once through the compiled simulator, once through
-/// the uncompiled reference path — and the two single-trial reports are
-/// compared field by field.  Any divergence raises
-/// Error(kKernelMismatch) naming the trial, seed and first differing
-/// field; nshot::Pipeline degrades that into a reference-kernel retry.  The circuit's primary input nets must be named after
+/// against `spec`.  The circuit's primary input nets must be named after
 /// the SG input signals and the observable non-input nets after the SG
 /// non-input signals (all synthesizers in this repository follow that
 /// convention).
+///
+/// With `options.verify_kernels` set, every trial also runs through the
+/// reference trial (run_closed_loop) and the two single-trial reports are
+/// compared field by field.  A divergent trial keeps the reference report
+/// and counts one kKernelMismatches; the first divergence by trial index
+/// is recorded in ConformanceReport::kernel_divergence.  The reference
+/// trial simulates with the standard gate library.
 ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const netlist::Netlist& circuit,
                                     const ConformanceOptions& options = {});
 
 /// Sweep against a pre-compiled netlist: the spec binding is resolved once
-/// and trials run chunked, one TrialRunner per chunk (in reference mode
-/// under options.reference_kernels).
+/// and trials run chunked, one TrialRunner per chunk.
 ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const CompiledNetlist& compiled,
                                     const ConformanceOptions& options = {});
@@ -193,10 +196,12 @@ struct ClosedLoopConfig {
 /// Run ONE closed-loop simulation of `circuit` against `spec` under the
 /// given configuration; returns a single-run report (runs == 1).  When
 /// `recorder` is non-null every net change is also captured for VCD
-/// export.  This is the reference driver: it compiles the circuit and
-/// constructs a heap-queue Simulator per call — what sim::TrialRunner
-/// (sim/trial_runner.hpp) runs in reference mode, and what its fused
-/// driver is byte-identical to.
+/// export.  This is the reference trial: it compiles the circuit and
+/// constructs a heap-queue Simulator per call, and sim::TrialRunner
+/// (sim/trial_runner.hpp) is byte-identical to it.  Production callers are
+/// record_vcd_trace and the verify_kernels cross-check; the netlist
+/// overloads of faults::run_scenario and run_probed wrap it for one-off
+/// runs.
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config,
                                   VcdRecorder* recorder = nullptr);

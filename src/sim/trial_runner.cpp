@@ -161,32 +161,20 @@ void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator&
   report.simulated_time += sim.now();
 }
 
-/// The reference trial: compile + construct a heap-queue Simulator for
-/// this one run (the per-trial cost model TrialRunner is measured against).
-ConformanceReport reference_trial(const sg::StateGraph& spec, const SpecBinding& binding,
-                                  const netlist::Netlist& circuit,
-                                  const gatelib::GateLibrary& lib, const ClosedLoopConfig& config,
-                                  VcdRecorder* recorder) {
-  Simulator sim(circuit, lib, config.sim);
+}  // namespace
+
+ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
+                                  const ClosedLoopConfig& config, VcdRecorder* recorder) {
+  const SpecBinding binding(spec, circuit);
+  Simulator sim(circuit, gatelib::GateLibrary::standard(), config.sim);
   ConformanceReport report;
   report.runs = 1;
   run_once(spec, binding, sim, config, report, recorder);
   return report;
 }
 
-}  // namespace
-
-ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                                  const ClosedLoopConfig& config, VcdRecorder* recorder) {
-  const SpecBinding binding(spec, circuit);
-  return reference_trial(spec, binding, circuit, gatelib::GateLibrary::standard(), config,
-                         recorder);
-}
-
-TrialRunner::TrialRunner(const CompiledNetlist& compiled, bool reference_kernels)
-    : compiled_(&compiled),
-      sim_(compiled, SimulatorOptions{}, QueueKind::kAdaptive),
-      reference_kernels_(reference_kernels) {}
+TrialRunner::TrialRunner(const CompiledNetlist& compiled)
+    : compiled_(&compiled), sim_(compiled, SimulatorOptions{}, QueueKind::kAdaptive) {}
 
 // The combinational settle depends only on the initial values, so it is
 // computed once by the Simulator's own dependency-order relaxation and
@@ -205,9 +193,6 @@ void TrialRunner::initialize(const std::vector<std::pair<NetId, bool>>& fixed) {
 
 ConformanceReport TrialRunner::run(const sg::StateGraph& spec, const SpecBinding& binding,
                                    const ClosedLoopConfig& config, VcdRecorder* recorder) {
-  if (reference_kernels_)
-    return reference_trial(spec, binding, compiled_->netlist(), compiled_->lib(), config,
-                           recorder);
   ConformanceReport report;
   report.runs = 1;
   sim_.reset(config.sim);

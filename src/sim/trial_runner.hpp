@@ -20,16 +20,13 @@
 //    timed injection (glitch force/release), and only observable commits
 //    surface to the spec walk — no std::function observer per commit.
 //
-// Constructed with reference_kernels set (RunConfig::reference_kernels),
-// run() is the reference itself: a fresh compile, a heap-queue Simulator
-// and run_once, per trial.  Callers hold one TrialRunner either way.
-//
 // The contract is byte-identity: for every config, TrialRunner::run
 // produces the same ConformanceReport — violation strings, simulated-time
 // doubles, RNG draw sequence — and the same VCD witness bytes as
 // run_closed_loop.  The differential battery in
 // tests/sim_batch_equivalence_test.cpp enforces this over fuzzed circuits;
-// check_conformance enforces it per-trial under --verify-kernels.
+// check_conformance enforces it per trial under verify_kernels, keeping the
+// reference report where the two differ.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +43,7 @@ namespace nshot::sim {
 /// settle cache, choice scratch) keep their capacity.
 class TrialRunner {
  public:
-  explicit TrialRunner(const CompiledNetlist& compiled, bool reference_kernels = false);
+  explicit TrialRunner(const CompiledNetlist& compiled);
 
   ConformanceReport run(const sg::StateGraph& spec, const SpecBinding& binding,
                         const ClosedLoopConfig& config, VcdRecorder* recorder = nullptr);
@@ -61,7 +58,6 @@ class TrialRunner {
 
   const CompiledNetlist* compiled_;
   Simulator sim_;
-  bool reference_kernels_;
   std::vector<std::pair<netlist::NetId, bool>> settle_key_;
   std::vector<std::uint8_t> settled_;
   bool have_settle_ = false;

@@ -1,14 +1,14 @@
 #include "util/error.hpp"
 
 #include <new>
+#include <string_view>
 
 namespace nshot {
 
 namespace {
 
 constexpr const char* kCodeNames[static_cast<int>(ErrorCode::kCount)] = {
-    "input_invalid",     "unimplementable", "resource_exhausted",
-    "deadline_exceeded", "kernel_mismatch", "internal",
+    "input_invalid", "unimplementable", "resource_exhausted", "deadline_exceeded", "internal",
 };
 
 }  // namespace
@@ -45,7 +45,11 @@ void raise_error(const char* file, int line, const std::string& message) {
 }
 
 void raise_error(const char* file, int line, ErrorCode code, const std::string& message) {
-  throw Error(code, std::string(file) + ":" + std::to_string(line) + ": " + message);
+  // Only the base name: __FILE__ is the build's source path, which wire
+  // clients and journals have no business seeing.
+  const std::string_view path(file);
+  const std::string_view base = path.substr(path.find_last_of("/\\") + 1);
+  throw Error(code, std::string(base) + ":" + std::to_string(line) + ": " + message);
 }
 
 ErrorCode classify_exception(const std::exception& e) {

@@ -28,7 +28,6 @@ enum class ErrorCode : int {
   kUnimplementable,    // SG outside the synthesizable class (Theorem 2)
   kResourceExhausted,  // state caps, minterm blowup, allocation failure
   kDeadlineExceeded,   // cooperative cancellation / deadline overrun
-  kKernelMismatch,     // optimized kernel diverged from its reference oracle
   kInternal,           // broken invariant — always a bug in this library
   kCount
 };

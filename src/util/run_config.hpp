@@ -1,11 +1,13 @@
-// Shared run configuration: the seed / worker / batching / reference-path
+// Shared run configuration: the seed / worker / verification / deadline
 // knobs that every sweep-shaped Options struct in this codebase used to
-// duplicate (SynthesisOptions, TriggerOptions, ConformanceOptions,
-// StressOptions, AdversarialOptions, ExactOptions).  Those structs now
-// inherit RunConfig, so the old field spellings (`options.jobs`,
-// `options.seed`, ...) keep compiling unchanged while generic drivers
-// (nshot::Pipeline, the CLI) can set the common knobs once and slice them
-// into every stage.
+// duplicate (SynthesisOptions, ConformanceOptions, StressOptions,
+// AdversarialOptions, ExactOptions).  Those structs inherit RunConfig, so
+// the old field spellings (`options.jobs`, `options.seed`, ...) keep
+// compiling unchanged while generic drivers (nshot::Pipeline, the CLI)
+// can set the common knobs once and slice them into every stage.  Every
+// kernel has one production path; the reference oracles it is checked
+// against live in tests/oracles, apart from the reference closed-loop
+// trial (sim::run_closed_loop) that verify_kernels runs beside it.
 #pragma once
 
 #include <cstdint>
@@ -23,22 +25,11 @@ struct RunConfig {
   /// output.
   int jobs = 0;
 
-  /// Work items batched per scheduled task so per-thread scratch (e.g. a
-  /// resettable Simulator) is reused across a chunk; <= 0 picks a batch
-  /// size automatically.  Chunk boundaries are never part of the
-  /// determinism contract.
-  int grain = 0;
-
-  /// Route hot paths through their uncompiled/ordered reference
-  /// implementations — for kernel-equivalence tests and benchmarking
-  /// only.
-  bool reference_kernels = false;
-
-  /// Cross-check the optimized kernels against their reference oracles
-  /// where a runtime comparison exists (currently the conformance sweep):
-  /// both paths run and any divergence raises Error(kKernelMismatch),
-  /// which Pipeline::run_checked degrades into a reference-kernel retry.
-  /// Roughly doubles the cost of the checked stages; off by default.
+  /// Cross-check every conformance trial against the reference trial
+  /// (sim::run_closed_loop).  A divergent trial keeps the reference
+  /// report, is counted in kKernelMismatches and recorded on the returned
+  /// report; Pipeline turns that record into a kernel_fallbacks entry.
+  /// Roughly doubles the cost of the conformance stage; off by default.
   bool verify_kernels = false;
 
   /// Whole-run wall-clock budget in milliseconds (0 = unbounded).  The

@@ -31,13 +31,14 @@ TEST(ErrorCodeTest, NamesAreStableSnakeCase) {
   EXPECT_STREQ(error_code_name(ErrorCode::kUnimplementable), "unimplementable");
   EXPECT_STREQ(error_code_name(ErrorCode::kResourceExhausted), "resource_exhausted");
   EXPECT_STREQ(error_code_name(ErrorCode::kDeadlineExceeded), "deadline_exceeded");
-  EXPECT_STREQ(error_code_name(ErrorCode::kKernelMismatch), "kernel_mismatch");
   EXPECT_STREQ(error_code_name(ErrorCode::kInternal), "internal");
 }
 
 TEST(ErrorCodeTest, UnknownNameClassifiesAsInternal) {
   EXPECT_EQ(error_code_from_name("no_such_code"), ErrorCode::kInternal);
   EXPECT_EQ(error_code_from_name(""), ErrorCode::kInternal);
+  // A retired code (verify_kernels divergences are no longer errors).
+  EXPECT_EQ(error_code_from_name("kernel_mismatch"), ErrorCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------
@@ -171,9 +172,9 @@ TEST(ResultTest, FromCapturesThrownErrorsWithTheirCode) {
   EXPECT_EQ(ok.value(), 5);
 
   const Result<int> err = Result<int>::from(
-      []() -> int { throw Error(ErrorCode::kKernelMismatch, "diverged"); });
+      []() -> int { throw Error(ErrorCode::kDeadlineExceeded, "too slow"); });
   ASSERT_FALSE(err.ok());
-  EXPECT_EQ(err.error().code(), ErrorCode::kKernelMismatch);
+  EXPECT_EQ(err.error().code(), ErrorCode::kDeadlineExceeded);
 
   // Foreign exceptions are classified, not lost.
   const Result<int> foreign =

@@ -1,13 +1,13 @@
-// Kernel equivalence tests: every compiled / hashed / sorted-vector hot
+// Kernel equivalence tests: every compiled / sorted-vector / bit-plane hot
 // path introduced by the kernel layer must be byte-identical to the
-// original reference implementation it replaced.  The reference paths are
-// either frozen request-schema behaviour behind the `reference_kernels`
-// options field (ConformanceOptions, StressOptions, TriggerOptions,
-// ExactOptions, CscSolveOptions) or test-only oracles linked from
-// tests/oracles (stg::reference reachability; sg::reference regions, CSC,
-// USC and detonant states; logic::reference::verify_cover), so the
-// comparison runs over randomly generated controllers and the Table 2
-// suite in one binary.
+// original reference implementation it replaced.  The references are the
+// reference closed-loop trial (sim::run_closed_loop, with the probed and
+// scenario wrappers over it in faults/) and the test-only oracles linked
+// from tests/oracles (stg::reference reachability; sg::reference regions,
+// CSC, USC, the CSC conflict count and detonant states;
+// logic::reference::verify_cover and generate_primes;
+// core::reference::enforce_trigger_requirement), so the comparison runs
+// over randomly generated controllers and the Table 2 suite in one binary.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -25,9 +25,11 @@
 #include "logic/verify.hpp"
 #include "nshot/synthesis.hpp"
 #include "nshot/trigger.hpp"
+#include "obs/obs.hpp"
 #include "oracles/espresso_reference.hpp"
 #include "oracles/reachability_reference.hpp"
 #include "oracles/sg_reference.hpp"
+#include "oracles/trigger_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
@@ -138,6 +140,10 @@ std::string sg_fingerprint(const sg::StateGraph& g) {
 class KernelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
+  // verify_kernels runs the reference trial beside every TrialRunner
+  // trial and keeps the reference report where they differ: a sweep with
+  // the cross-check on must find nothing and report what the sweep
+  // without it reports.
   const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
@@ -145,14 +151,16 @@ TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
   options.runs = 10;
   options.max_transitions = 60;
 
-  options.reference_kernels = true;
-  const sim::ConformanceReport reference =
-      sim::check_conformance(gen.graph, gen.result.circuit, options);
-  options.reference_kernels = false;
   const sim::ConformanceReport compiled =
       sim::check_conformance(gen.graph, gen.result.circuit, options);
+  const obs::Session session("kernel_equivalence_test");
+  options.verify_kernels = true;
+  const sim::ConformanceReport verified =
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
 
-  EXPECT_EQ(conformance_fingerprint(reference), conformance_fingerprint(compiled));
+  EXPECT_EQ(conformance_fingerprint(verified), conformance_fingerprint(compiled));
+  EXPECT_EQ(verified.kernel_divergence, "");
+  EXPECT_EQ(session.counter_total(obs::Counter::kKernelMismatches), 0);
 }
 
 TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
@@ -179,27 +187,65 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
 }
 
 TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
+  // The campaign runs its margin and battery trials on TrialRunner.
+  // Rebuild those fields from the reference trial — run_probed and
+  // run_scenario over sim::run_closed_loop — and the rendered report must
+  // not change.
   const Generated gen = generate(GetParam());
+  const sg::StateGraph& spec = gen.graph;
+  const netlist::Netlist& circuit = gen.result.circuit;
 
   faults::StressOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 5 + 3;
   options.margin_runs = 3;
   options.run.max_transitions = 60;
-  options.adversarial.restarts = 2;
-  options.adversarial.iterations = 15;
-  options.adversarial.run.max_transitions = 60;
+  options.adversarial.restarts = 0;
+  const faults::StressReport compiled = faults::run_stress(spec, circuit, "keq", options);
 
-  options.reference_kernels = true;
-  const std::string reference = faults::stress_report_json(
-      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
-  options.reference_kernels = false;
-  const std::string compiled = faults::stress_report_json(
-      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
+  faults::StressReport reference = compiled;
+  reference.baseline_clean = true;
+  reference.min_omega_slack = reference.min_eq1_slack = faults::kNoMargin;
+  for (faults::SignalMargins& margins : reference.signals) margins = {margins.signal};
+  for (int r = 0; r < options.margin_runs; ++r) {
+    faults::FaultScenario scenario;
+    scenario.seed = run_seed(options.seed, r);
+    const faults::ProbedRun run = faults::run_probed(spec, circuit, scenario, options.run);
+    ASSERT_EQ(run.omega.size(), reference.signals.size());
+    if (!run.report.clean()) reference.baseline_clean = false;
+    for (std::size_t k = 0; k < run.omega.size(); ++k) {
+      reference.signals[k].omega.merge(run.omega[k]);
+      if (k < run.eq1.size())
+        reference.signals[k].min_eq1_slack =
+            std::min(reference.signals[k].min_eq1_slack, run.eq1[k].slack());
+    }
+  }
+  for (const faults::SignalMargins& margins : reference.signals) {
+    reference.min_omega_slack = std::min(reference.min_omega_slack, margins.omega.min_slack());
+    reference.min_eq1_slack = std::min(reference.min_eq1_slack, margins.min_eq1_slack);
+  }
+  for (faults::FaultOutcome& outcome : reference.outcomes) {
+    faults::FaultScenario scenario;
+    scenario.seed = options.seed;
+    scenario.faults.push_back(outcome.fault);
+    const sim::ConformanceReport run = faults::run_scenario(spec, circuit, scenario, options.run);
+    outcome.survived = run.clean();
+    outcome.violation = run.violations.empty()
+                            ? ""
+                            : std::string(sim::violation_kind_name(run.violations.front().kind)) +
+                                  ": " + run.violations.front().description;
+    for (faults::SignalMargins& margins : reference.signals)
+      if (margins.signal == outcome.signal)
+        (outcome.survived ? margins.faults_survived : margins.faults_failed) += 1;
+  }
 
-  EXPECT_EQ(reference, compiled);
+  EXPECT_FALSE(compiled.outcomes.empty());
+  EXPECT_EQ(faults::stress_report_json(reference), faults::stress_report_json(compiled));
 }
 
 TEST_P(KernelEquivalenceTest, ExactMinimizeMatchesReferenceSets) {
+  // generate_primes expands from the on-minterms through ordered key
+  // sets; the oracle enumerates every input cube.  The exact cover must
+  // be a valid cover built from those primes.
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 29 + 11);
   const int num_inputs = 3 + static_cast<int>(rng.next_below(5));
   const int num_outputs = 1 + static_cast<int>(rng.next_below(3));
@@ -216,20 +262,27 @@ TEST_P(KernelEquivalenceTest, ExactMinimizeMatchesReferenceSets) {
   }
   spec.normalize();
 
-  logic::ExactOptions options;
-  options.reference_kernels = true;
-  const logic::Cover reference = logic::exact_minimize(spec, options);
-  const auto reference_primes = logic::generate_primes(spec, 0, options);
-  options.reference_kernels = false;
-  const logic::Cover hashed = logic::exact_minimize(spec, options);
-  const auto hashed_primes = logic::generate_primes(spec, 0, options);
+  std::set<std::string> all_primes;
+  for (int o = 0; o < num_outputs; ++o) {
+    const std::vector<logic::Cube> reference = logic::reference::generate_primes(spec, o);
+    const std::optional<std::vector<logic::Cube>> primes = logic::generate_primes(spec, o);
+    ASSERT_TRUE(primes.has_value()) << "output " << o;
+    ASSERT_EQ(reference.size(), primes->size()) << "output " << o;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(reference[i].to_string(), (*primes)[i].to_string()) << "output " << o << " " << i;
+      all_primes.insert(reference[i].to_string());
+    }
+  }
 
-  EXPECT_EQ(reference.to_string(), hashed.to_string());
-  ASSERT_EQ(reference_primes.has_value(), hashed_primes.has_value());
-  if (reference_primes) {
-    ASSERT_EQ(reference_primes->size(), hashed_primes->size());
-    for (std::size_t i = 0; i < reference_primes->size(); ++i)
-      EXPECT_EQ((*reference_primes)[i].to_string(), (*hashed_primes)[i].to_string()) << i;
+  const logic::Cover cover = logic::exact_minimize(spec);
+  EXPECT_TRUE(logic::reference::verify_cover(spec, cover).ok);
+  for (const logic::Cube& cube : cover) {
+    logic::Cube single = cube;
+    for (int o = 0; o < num_outputs; ++o) {
+      if (!cube.has_output(o)) continue;
+      single.set_outputs(1ULL << o);
+      EXPECT_TRUE(all_primes.count(single.to_string())) << cube.to_string();
+    }
   }
 }
 
@@ -327,14 +380,15 @@ TEST(KernelEquivalenceFixedTest, RegionsTable2MatchReference) {
     expect_regions_match_reference(info.build(), info.name);
 }
 
-/// check_csc / check_usc / count_csc_conflicts (and the solver's
-/// count-only reference) against the ordered-container oracles.
+/// check_csc / check_usc / count_csc_conflicts (and the CSC solver's
+/// counter) against the ordered-container oracles.
 void expect_coding_matches_reference(const sg::StateGraph& g, const std::string& what) {
   const sg::PropertyReport csc = sg::reference::check_csc(g);
   EXPECT_EQ(sg::reference::check_usc(g).violations, sg::check_usc(g).violations) << what;
   EXPECT_EQ(csc.violations, sg::check_csc(g).violations) << what;
+  EXPECT_EQ(csc.violations.size(), sg::reference::count_csc_conflicts(g)) << what;
   EXPECT_EQ(csc.violations.size(), sg::count_csc_conflicts(g)) << what;
-  EXPECT_EQ(csc.violations.size(), sg::count_csc_conflicts_reference(g)) << what;
+  EXPECT_EQ(static_cast<int>(csc.violations.size()), csc::csc_conflict_count(g)) << what;
 }
 
 TEST_P(KernelEquivalenceTest, CodingChecksMatchOrderedReference) {
@@ -413,13 +467,10 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
 
     logic::Cover reference_cover = thinned;
     logic::Cover fast_cover = thinned;
-    core::TriggerOptions options;
-    options.reference_kernels = true;
-    const core::TriggerReport reference = core::enforce_trigger_requirement(
-        gen.graph, regions, gen.result.derived, reference_cover, options);
-    options.reference_kernels = false;
-    const core::TriggerReport fast = core::enforce_trigger_requirement(
-        gen.graph, regions, gen.result.derived, fast_cover, options);
+    const core::TriggerReport reference = core::reference::enforce_trigger_requirement(
+        gen.graph, regions, gen.result.derived, reference_cover);
+    const core::TriggerReport fast =
+        core::enforce_trigger_requirement(gen.graph, regions, gen.result.derived, fast_cover);
 
     EXPECT_EQ(report_fingerprint(reference), report_fingerprint(fast)) << "drop " << drop;
     EXPECT_EQ(reference_cover.to_string(), fast_cover.to_string()) << "drop " << drop;
@@ -456,27 +507,37 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
 }
 
 TEST_P(KernelEquivalenceTest, CscSolverMatchesReferenceKernels) {
-  // The solver's conflict counting runs count-only; the chosen insertions
-  // and the final graph must be identical to the reference-kernel run.
+  // The solver counts conflicts count-only; the ordered-container oracle
+  // must agree on the draw, on every insertion candidate the solver
+  // scores (a single toggle spliced behind each pair of distinct
+  // transitions) and on the graph it returns.
   const stg::Stg net = stg::parse_g(random_g_text(GetParam()));
+  const sg::StateGraph graph = stg::build_state_graph(net);
+  if (!sg::check_consistency(graph).ok() || !sg::check_semi_modular(graph).ok())
+    GTEST_SKIP() << "draw is not a consistent semi-modular specification";
+
+  auto expect_count = [](const sg::StateGraph& g, const std::string& what) {
+    EXPECT_EQ(static_cast<int>(sg::reference::count_csc_conflicts(g)), csc::csc_conflict_count(g))
+        << what;
+  };
+  expect_count(graph, "draw");
+  for (stg::TransitionId plus = 0; plus < net.num_transitions(); ++plus)
+    for (stg::TransitionId minus = 0; minus < net.num_transitions(); ++minus) {
+      if (plus == minus) continue;
+      std::optional<sg::StateGraph> candidate;
+      try {
+        candidate = stg::build_state_graph(csc::insert_toggle(net, plus, minus, "z"));
+      } catch (const Error&) {
+        continue;  // an insertion the solver would discard as unsafe
+      }
+      expect_count(*candidate, "toggle " + std::to_string(plus) + "/" + std::to_string(minus));
+    }
 
   csc::CscSolveOptions options;
   options.max_signals = 2;
-  options.reference_kernels = true;
-  std::optional<csc::CscSolveResult> reference;
-  try {
-    reference = csc::solve_csc(net, options);
-  } catch (const Error&) {
-    GTEST_SKIP() << "draw is not a consistent semi-modular specification";
-  }
-  options.reference_kernels = false;
-  const std::optional<csc::CscSolveResult> fast = csc::solve_csc(net, options);
-
-  ASSERT_EQ(reference.has_value(), fast.has_value());
-  if (reference) {
-    EXPECT_EQ(reference->signals_added, fast->signals_added);
-    EXPECT_EQ(reference->insertions, fast->insertions);
-    EXPECT_EQ(sg_fingerprint(reference->graph), sg_fingerprint(fast->graph));
+  if (const std::optional<csc::CscSolveResult> solved = csc::solve_csc(net, options)) {
+    expect_count(solved->graph, "solved");
+    EXPECT_EQ(sg::reference::count_csc_conflicts(solved->graph), 0u);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "csc/csc_solver.hpp"
 #include "exec/thread_pool.hpp"
 #include "faults/stress.hpp"
 #include "logic/exact.hpp"
@@ -217,29 +218,27 @@ TEST(RunConfigTest, SharedFieldsReachEveryOptionsStruct) {
   RunConfig shared;
   shared.seed = 99;
   shared.jobs = 3;
-  shared.grain = 16;
-  shared.reference_kernels = true;
+  shared.verify_kernels = true;
+  shared.deadline_ms = 250;
 
   core::SynthesisOptions synthesis;
   sim::ConformanceOptions conformance;
   faults::StressOptions stress;
   faults::AdversarialOptions adversarial;
-  core::TriggerOptions trigger;
   logic::ExactOptions exact;
   synthesis.apply_run_config(shared);
   conformance.apply_run_config(shared);
   stress.apply_run_config(shared);
   adversarial.apply_run_config(shared);
-  trigger.apply_run_config(shared);
   exact.apply_run_config(shared);
   for (const RunConfig& config :
        {static_cast<const RunConfig&>(synthesis), static_cast<const RunConfig&>(conformance),
         static_cast<const RunConfig&>(stress), static_cast<const RunConfig&>(adversarial),
-        static_cast<const RunConfig&>(trigger), static_cast<const RunConfig&>(exact)}) {
+        static_cast<const RunConfig&>(exact)}) {
     EXPECT_EQ(config.seed, 99u);
     EXPECT_EQ(config.jobs, 3);
-    EXPECT_EQ(config.grain, 16);
-    EXPECT_TRUE(config.reference_kernels);
+    EXPECT_TRUE(config.verify_kernels);
+    EXPECT_EQ(config.deadline_ms, 250);
   }
 }
 
@@ -249,8 +248,7 @@ TEST(RunConfigTest, OldMemberSpellingsStillCompile) {
   sim::ConformanceOptions conformance;
   conformance.seed = 7;
   conformance.jobs = 2;
-  conformance.grain = 4;
-  conformance.reference_kernels = true;
+  conformance.verify_kernels = true;
   EXPECT_EQ(conformance.seed, 7u);
 
   faults::StressOptions stress;
@@ -263,11 +261,12 @@ TEST(RunConfigTest, OldMemberSpellingsStillCompile) {
   EXPECT_EQ(synthesis.jobs, 5);
 }
 
-// The deprecated per-struct aliases (ExactOptions::reference_sets,
-// TriggerOptions::reference_membership) shipped one release of warnings
-// and were removed: RunConfig::reference_kernels is the only spelling.
-// Member-detection asserts they stay gone — re-adding either is a
-// compile-time test failure, not a silent back-compat regression.
+// Every kernel has one production path, so the switches that selected a
+// second one are gone: the per-struct aliases (ExactOptions::reference_sets,
+// TriggerOptions::reference_membership, removed with TriggerOptions), then
+// RunConfig::reference_kernels and CscSolveOptions::reference_kernels, and
+// RunConfig::grain, which no caller set.  Member detection keeps them gone
+// — re-adding one is a compile-time test failure.
 template <typename T, typename = void>
 struct has_reference_sets : std::false_type {};
 template <typename T>
@@ -275,32 +274,35 @@ struct has_reference_sets<T, std::void_t<decltype(std::declval<T>().reference_se
     : std::true_type {};
 
 template <typename T, typename = void>
-struct has_reference_membership : std::false_type {};
+struct has_reference_kernels : std::false_type {};
 template <typename T>
-struct has_reference_membership<T, std::void_t<decltype(std::declval<T>().reference_membership)>>
+struct has_reference_kernels<T, std::void_t<decltype(std::declval<T>().reference_kernels)>>
     : std::true_type {};
+
+template <typename T, typename = void>
+struct has_grain : std::false_type {};
+template <typename T>
+struct has_grain<T, std::void_t<decltype(std::declval<T>().grain)>> : std::true_type {};
 
 TEST(RunConfigTest, DeprecatedReferenceAliasesAreGone) {
   static_assert(!has_reference_sets<logic::ExactOptions>::value,
-                "ExactOptions::reference_sets was removed; use reference_kernels");
-  static_assert(!has_reference_membership<core::TriggerOptions>::value,
-                "TriggerOptions::reference_membership was removed; use reference_kernels");
-
-  // The shared spelling still reaches both consumers.
-  logic::ExactOptions exact;
-  exact.reference_kernels = true;
-  EXPECT_TRUE(exact.reference_kernels);
-  core::TriggerOptions trigger;
-  trigger.reference_kernels = true;
-  EXPECT_TRUE(trigger.reference_kernels);
+                "ExactOptions::reference_sets was removed");
+  static_assert(!has_reference_kernels<RunConfig>::value,
+                "RunConfig::reference_kernels was removed");
+  static_assert(!has_reference_kernels<csc::CscSolveOptions>::value,
+                "CscSolveOptions::reference_kernels was removed");
+  static_assert(!has_grain<RunConfig>::value, "RunConfig::grain was removed");
+  for (const char* key : {"reference_kernels", "grain"})
+    EXPECT_EQ(Request::known_override_keys().count(key), 0u) << key;
 }
 
 TEST(RunConfigTest, DefaultsAreUnchanged) {
   const RunConfig config;
   EXPECT_EQ(config.seed, 1u);
   EXPECT_EQ(config.jobs, 0);
-  EXPECT_EQ(config.grain, 0);
-  EXPECT_FALSE(config.reference_kernels);
+  EXPECT_FALSE(config.verify_kernels);
+  EXPECT_EQ(config.deadline_ms, 0);
+  EXPECT_EQ(config.stage_deadline_ms, 0);
 }
 
 // ---------------------------------------------------------------------------

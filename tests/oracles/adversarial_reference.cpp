@@ -53,7 +53,7 @@ Restart climb(const sg::StateGraph& spec, const sim::SpecBinding& binding,
               const AdversarialOptions& options, int restart) {
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
-  sim::TrialRunner runner(compiled, options.reference_kernels);
+  sim::TrialRunner runner(compiled);
   MarginProbe probe(compiled.netlist(), compiled.lib());
   auto trial = [&](const std::vector<double>& delays) {
     FaultScenario scenario;

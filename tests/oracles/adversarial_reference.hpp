@@ -14,8 +14,7 @@
 
 namespace nshot::faults::reference {
 
-/// The un-memoized climb on the engine `options` selects (reference
-/// kernels or the TrialRunner).
+/// The un-memoized climb, on the TrialRunner.
 AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
                                            const netlist::Netlist& circuit,
                                            const AdversarialOptions& options);

@@ -232,4 +232,35 @@ VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover) {
   return {};
 }
 
+std::vector<Cube> generate_primes(const TwoLevelSpec& spec, int o) {
+  const int n = spec.num_inputs();
+  NSHOT_REQUIRE(n <= 12, "exhaustive prime enumeration is for small input counts");
+  std::uint64_t cubes = 1;
+  for (int v = 0; v < n; ++v) cubes *= 3;
+  std::vector<Cube> primes;
+  for (std::uint64_t index = 0; index < cubes; ++index) {
+    // Base-3 digit v of `index`: 0 and 1 fix variable v, 2 leaves it free.
+    Cube cube = Cube::full(n, 1ULL << o);
+    std::uint64_t digits = index;
+    for (int v = 0; v < n; ++v, digits /= 3)
+      if (digits % 3 != 2) cube.restrict_var(v, digits % 3 == 1);
+    if (!cube_is_valid(spec, cube)) continue;
+    bool covers_on = false;
+    for (const std::uint64_t code : spec.on(o)) covers_on = covers_on || cube.covers_minterm(code);
+    if (!covers_on) continue;
+    bool maximal = true;
+    for (int v = 0; v < n && maximal; ++v) {
+      if (cube.var_is_free(v)) continue;
+      Cube raised = cube;
+      raised.raise_var(v);
+      maximal = !cube_is_valid(spec, raised);
+    }
+    if (maximal) primes.push_back(cube);
+  }
+  std::sort(primes.begin(), primes.end(), [](const Cube& a, const Cube& b) {
+    return a.lo() != b.lo() ? a.lo() < b.lo() : a.hi() < b.hi();
+  });
+  return primes;
+}
+
 }  // namespace nshot::logic::reference

@@ -10,7 +10,13 @@
 // verify_cover is the minterm-at-a-time cover check that
 // logic/verify.cpp replaced with a bit-sliced sweep; logic::verify_cover
 // must return the same verdict and first-violation message.
+//
+// generate_primes enumerates every input cube instead of expanding from
+// the on-minterms; logic::generate_primes must return the same primes in
+// the same order.
 #pragma once
+
+#include <vector>
 
 #include "logic/cover.hpp"
 #include "logic/espresso.hpp"
@@ -40,5 +46,11 @@ Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options = {});
 /// Every on-minterm covered, no off-minterm covered, checked one code at a
 /// time in list order; same result as logic::verify_cover.
 VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover);
+
+/// The prime implicants of output `o` by exhaustion over all 3^n input
+/// cubes: valid (cube_is_valid), covering an on-minterm, and invalid under
+/// every single raise.  Sorted by (lo, hi), as logic::generate_primes
+/// emits them.  Small input counts only.
+std::vector<Cube> generate_primes(const TwoLevelSpec& spec, int o);
 
 }  // namespace nshot::logic::reference

@@ -187,6 +187,19 @@ PropertyReport check_csc(const StateGraph& sg) {
   return report;
 }
 
+std::size_t count_csc_conflicts(const StateGraph& sg) {
+  std::map<std::uint64_t, std::vector<StateId>> by_code;
+  for (StateId s = 0; s < sg.num_states(); ++s) by_code[sg.code(s)].push_back(s);
+  std::size_t count = 0;
+  for (const auto& [code, states] : by_code) {
+    if (states.size() < 2) continue;
+    const std::uint64_t first = excited_noninput_mask(sg, states[0]);
+    for (std::size_t i = 1; i < states.size(); ++i)
+      if (excited_noninput_mask(sg, states[i]) != first) ++count;
+  }
+  return count;
+}
+
 PropertyReport check_usc(const StateGraph& sg) {
   PropertyReport report;
   std::map<std::uint64_t, StateId> seen;

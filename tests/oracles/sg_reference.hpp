@@ -6,7 +6,8 @@
 //  * check_semi_modular: per state it collects the enabled labels, then
 //    resolves all four corners of every (t1, t2) diamond through
 //    StateGraph::successor;
-//  * check_csc / check_usc: codes grouped through std::map;
+//  * check_csc / count_csc_conflicts / check_usc: codes grouped through
+//    std::map;
 //  * detonant_states: per-state out-edge scans with a std::set of
 //    exciting successors;
 //  * compute_regions: per-state member scan, std::map grouping of the
@@ -31,6 +32,10 @@ PropertyReport check_semi_modular(const StateGraph& sg);
 /// Definition 1 over a std::map from code to states; same violations and
 /// order as sg::check_csc.
 PropertyReport check_csc(const StateGraph& sg);
+
+/// check_csc's grouping, counting only; equals sg::count_csc_conflicts
+/// (and so csc::csc_conflict_count, the CSC solver's conflict counter).
+std::size_t count_csc_conflicts(const StateGraph& sg);
 
 /// First-occurrence scan over a std::map from code to state; same
 /// violations and order as sg::check_usc.

@@ -1,11 +1,12 @@
 // Pipeline robustness tests: run_checked's classified RunOutcome on both
 // the happy and failure paths, the RunConfig deadline knobs surfacing as
 // clean deadline-exceeded outcomes, and the graceful kernel-mismatch
-// degradation (verify_kernels divergence -> reference-kernel retry,
-// recorded in PipelineRun::kernel_fallbacks and the obs counters).
+// degradation (a verify_kernels divergence keeps the reference trial's
+// report, recorded in PipelineRun::kernel_fallbacks and the obs counters).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generators.hpp"
@@ -160,7 +161,8 @@ TEST(KernelFallbackTest, InjectedFaultDegradesToReferenceKernels) {
   Pipeline pipeline(options);
   const RunOutcome outcome = pipeline.run_checked_g(kXyzG);
   // The mismatch is detected, logged and degraded — the run still
-  // completes on the reference kernels instead of failing the batch.
+  // completes on the reference trials' reports instead of failing the
+  // batch.
   ASSERT_TRUE(outcome.ok()) << outcome.message;
   ASSERT_EQ(outcome.run->kernel_fallbacks.size(), 1u);
   EXPECT_NE(outcome.run->kernel_fallbacks[0].find("conformance:"), std::string::npos);
@@ -180,6 +182,45 @@ TEST(KernelFallbackTest, FallbackIsCountedInObservability) {
   ASSERT_NE(pipeline.session(), nullptr);
   EXPECT_GE(pipeline.session()->counter_total(obs::Counter::kKernelMismatches), 1);
   EXPECT_GE(pipeline.session()->counter_total(obs::Counter::kKernelFallbacks), 1);
+}
+
+TEST(KernelFallbackTest, DivergentSweepKeepsTheReferenceReports) {
+  // One sweep of N trials: every divergent trial keeps its reference
+  // report, so the conformance report equals a clean run's and nothing is
+  // re-run; the recorded first divergence does not move with jobs.
+  auto fingerprint = [](const sim::ConformanceReport& r) {
+    return r.summary() + "|" + std::to_string(r.internal_toggles) + "|" +
+           std::to_string(r.absorbed_pulses) + "|" + std::to_string(r.simulated_time);
+  };
+  PipelineOptions options = quiet_options();
+  options.conformance.runs = 8;
+  options.run.verify_kernels = true;
+  options.collect_observability = true;
+  const RunOutcome clean = Pipeline(options).run_checked_g(kXyzG);
+  ASSERT_TRUE(clean.ok()) << clean.message;
+  ASSERT_TRUE(clean.run->kernel_fallbacks.empty());
+
+  const FaultInjectionGuard guard(true);
+  std::vector<std::string> recorded;
+  for (const int jobs : {1, 4}) {
+    options.run.jobs = jobs;
+    Pipeline pipeline(options);
+    const RunOutcome outcome = pipeline.run_checked_g(kXyzG);
+    ASSERT_TRUE(outcome.ok()) << outcome.message;
+    EXPECT_EQ(fingerprint(outcome.run->conformance), fingerprint(clean.run->conformance))
+        << "jobs " << jobs;
+    ASSERT_EQ(outcome.run->kernel_fallbacks.size(), 1u) << "jobs " << jobs;
+    EXPECT_NE(outcome.run->kernel_fallbacks[0].find("on trial 0 "), std::string::npos)
+        << outcome.run->kernel_fallbacks[0];
+    recorded.push_back(outcome.run->kernel_fallbacks[0]);
+    ASSERT_NE(pipeline.session(), nullptr);
+    EXPECT_EQ(pipeline.session()->counter_total(obs::Counter::kTrialsRun), 8) << "jobs " << jobs;
+    EXPECT_EQ(pipeline.session()->counter_total(obs::Counter::kKernelMismatches), 8)
+        << "jobs " << jobs;
+    EXPECT_EQ(pipeline.session()->counter_total(obs::Counter::kKernelFallbacks), 1)
+        << "jobs " << jobs;
+  }
+  EXPECT_EQ(recorded[0], recorded[1]);
 }
 
 TEST(KernelFallbackTest, ThrowingRunVariantAlsoDegrades) {

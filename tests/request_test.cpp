@@ -172,6 +172,35 @@ TEST(SubmitTest, OverridesLayerOverBaseOptions) {
   EXPECT_NE(rejected.outcome.message.find("warp_factor"), std::string::npos);
 }
 
+/// A request whose only override is `key`, submitted to a quiet pipeline.
+Response submit_with_override(const std::string& key) {
+  Pipeline pipeline(quiet_options());
+  Request request;
+  request.g_text = kXyzG;
+  request.overrides[key] = "1";
+  return pipeline.submit(request);
+}
+
+TEST(SubmitTest, RetiredGrainKeyIsRejected) {
+  // Every sweep sizes its own chunks (exec::batch_grain); the key is gone.
+  const Response response = submit_with_override("grain");
+  ASSERT_FALSE(response.outcome.ok());
+  EXPECT_EQ(response.outcome.code, ErrorCode::kInputInvalid);
+  EXPECT_NE(response.outcome.message.find("unknown override key 'grain'"), std::string::npos)
+      << response.outcome.message;
+}
+
+TEST(SubmitTest, RetiredReferenceKernelsKeyIsRejected) {
+  // Every kernel has one production path; the key that picked a second
+  // one is gone.
+  const Response response = submit_with_override("reference_kernels");
+  ASSERT_FALSE(response.outcome.ok());
+  EXPECT_EQ(response.outcome.code, ErrorCode::kInputInvalid);
+  EXPECT_NE(response.outcome.message.find("unknown override key 'reference_kernels'"),
+            std::string::npos)
+      << response.outcome.message;
+}
+
 TEST(SubmitTest, DeadlineOverrideIsEnforced) {
   Pipeline pipeline(quiet_options());
   Request request;

@@ -188,6 +188,19 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(padded), Error);
 }
 
+// Wire errors name the source file that raised them, never the build
+// directory it was compiled in.
+TEST(ProtocolTest, RejectionMessagesCarryNoBuildPath) {
+  try {
+    parse_request("{}");
+    FAIL() << "expected an exception";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("protocol.cpp:", 0), 0u) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  }
+}
+
 TEST(ProtocolTest, LineSplitterSplitsAcrossChunksAndCapsLines) {
   LineSplitter splitter(4);
   std::string line;
@@ -613,6 +626,47 @@ TEST(SocketTest, OneLoopThreadServesEveryConnection) {
   clients.clear();
   listener.stop();
   server.drain();
+}
+
+// A socket server restarted on the same journal answers an id the journal
+// already holds as resumed instead of executing it again, as the file
+// queue does.
+TEST(SocketTest, ResumesJournaledIdsAcrossIncarnations) {
+  const fs::path dir = test_dir("socket_resume");
+  const std::string path = (dir / "serve.sock").string();
+  ServeOptions options = quiet_serve();
+  options.journal_path = (dir / "journal.jsonl").string();
+  std::vector<std::string> answers;
+  std::vector<ServeStats> stats;
+  for (int incarnation = 0; incarnation < 2; ++incarnation) {
+    Server server(options);
+    SocketListener listener(path, server);
+    {
+      SocketClient client(path);
+      answers.push_back(client.roundtrip(gen_request("a", "same", 7)));
+    }
+    listener.stop();
+    server.drain();
+    stats.push_back(server.stats());
+  }
+  const JsonValue first = parse_json(answers[0], "first answer");
+  const JsonValue second = parse_json(answers[1], "second answer");
+  EXPECT_TRUE(first.bool_or("ok", false)) << answers[0];
+  EXPECT_FALSE(first.bool_or("resumed", false)) << answers[0];
+  EXPECT_TRUE(second.bool_or("ok", false)) << answers[1];
+  EXPECT_TRUE(second.bool_or("resumed", false)) << answers[1];
+  EXPECT_EQ(second.string_or("id", ""), "same");
+  EXPECT_EQ(stats[0].completed, 1);
+  EXPECT_EQ(stats[0].resumed, 0);
+  EXPECT_EQ(stats[1].accepted, 0);
+  EXPECT_EQ(stats[1].completed, 0);
+  EXPECT_EQ(stats[1].resumed, 1);
+
+  std::ifstream journal(options.journal_path);
+  int lines = 0;
+  for (std::string line; std::getline(journal, line);)
+    if (parse_json(line, "journal line").string_or("id", "") == "same") ++lines;
+  EXPECT_EQ(lines, 1);
 }
 
 // Lines that fail parse_request are answered input_invalid and counted in

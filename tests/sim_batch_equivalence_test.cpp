@@ -3,8 +3,8 @@
 // TrialRunner must produce byte-identical results to the reference
 // per-trial simulator — same verdicts, same report fingerprints (every
 // counter and every simulated-time double), same violation strings, and
-// the same VCD witness bytes per trial, including across runner reuse
-// and settle-cache hits and misses.  This is the test the engine's whole
+// the same VCD witness bytes and observer stream per trial, including
+// across runner reuse and settle-cache hits and misses.  This is the test the engine's whole
 // contract hangs on; the CI matrix runs it under ASan and TSan.
 #include <gtest/gtest.h>
 
@@ -12,9 +12,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_suite/generators.hpp"
+#include "faults/margins.hpp"
 #include "netlist/transform.hpp"
 #include "nshot/synthesis.hpp"
 #include "sim/conformance.hpp"
@@ -129,6 +131,71 @@ TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
 
     expect_runner_matches_reference(gen.graph, runner, binding, config, label);
   }
+}
+
+/// What an observed trial shows its instrumentation: every committed net
+/// change handed to config.observer, and the ω statistics a MarginProbe
+/// chained behind it collects per MHS cell.
+struct Observed {
+  sim::ConformanceReport report;
+  std::vector<std::tuple<netlist::NetId, bool, double>> commits;
+  std::vector<faults::OmegaStats> omega;
+};
+
+template <typename RunTrial>
+Observed observe(const netlist::Netlist& circuit, sim::ClosedLoopConfig config,
+                 RunTrial&& run_trial) {
+  Observed observed;
+  faults::MarginProbe probe(circuit, gatelib::GateLibrary::standard());
+  const sim::NetObserver probe_observer = probe.observer();
+  config.observer = [&](netlist::NetId net, bool value, double time) {
+    observed.commits.emplace_back(net, value, time);
+    probe_observer(net, value, time);
+  };
+  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
+  observed.report = run_trial(config);
+  for (int k = 0; k < probe.num_cells(); ++k) observed.omega.push_back(probe.stats(k));
+  return observed;
+}
+
+TEST_P(SimBatchEquivalenceTest, ObservedTrialsMatchReference) {
+  // The margin measurements, the adversarial search and the minimizer all
+  // watch TrialRunner trials through config.observer: the engine must
+  // hand an observer the same (net, value, time) sequence as the
+  // reference trial, so a MarginProbe reads the same margins off either.
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist& circuit = gen.result.circuit;
+  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(gen.graph, circuit);
+  sim::TrialRunner runner(compiled);
+
+  const std::uint64_t base_seed = 0x0b5eULL + static_cast<std::uint64_t>(GetParam());
+  std::size_t commits = 0;
+  for (int r = 0; r < 6; ++r) {
+    const std::string label =
+        "circuit " + std::to_string(GetParam()) + " observed trial " + std::to_string(r);
+    const sim::ClosedLoopConfig config = trial_config(base_seed, r);
+    const Observed want = observe(circuit, config, [&](const sim::ClosedLoopConfig& c) {
+      return sim::run_closed_loop(gen.graph, circuit, c);
+    });
+    const Observed got = observe(circuit, config, [&](const sim::ClosedLoopConfig& c) {
+      return runner.run(gen.graph, binding, c);
+    });
+    expect_same_report(got.report, want.report, label);
+    EXPECT_TRUE(got.commits == want.commits) << label << ": " << got.commits.size() << " vs "
+                                             << want.commits.size() << " commits";
+    ASSERT_EQ(got.omega.size(), want.omega.size()) << label;
+    for (std::size_t k = 0; k < want.omega.size(); ++k) {
+      EXPECT_EQ(got.omega[k].fired, want.omega[k].fired) << label << " cell " << k;
+      EXPECT_EQ(got.omega[k].absorbed, want.omega[k].absorbed) << label << " cell " << k;
+      EXPECT_EQ(got.omega[k].min_fire_slack, want.omega[k].min_fire_slack)
+          << label << " cell " << k;
+      EXPECT_EQ(got.omega[k].min_absorb_slack, want.omega[k].min_absorb_slack)
+          << label << " cell " << k;
+    }
+    commits += want.commits.size();
+  }
+  EXPECT_GT(commits, 0u);
 }
 
 TEST_P(SimBatchEquivalenceTest, SettleCacheMatchesFreshRuns) {

@@ -27,6 +27,7 @@
 #include "exec/thread_pool.hpp"
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
+#include "sim/trial_runner.hpp"
 
 namespace {
 
@@ -103,16 +104,25 @@ void print_adversarial_demo() {
               adv.best_slack);
 }
 
+// The two micro-benchmarks time one trial on the production engine as the
+// stress campaign runs it: the compiled netlist, spec binding, TrialRunner
+// (and margin probe) are built once, outside the timed loop.
 void bm_probed_run(benchmark::State& state) {
   const sg::StateGraph g = bench_suite::build_benchmark("pmcm1");
   const core::SynthesisResult result = core::synthesize(g);
+  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
+  const sim::CompiledNetlist compiled(result.circuit, lib);
+  const sim::SpecBinding binding(g, result.circuit);
+  sim::TrialRunner runner(compiled);
+  faults::MarginProbe probe(result.circuit, lib);
   faults::ScenarioOptions options;
   options.max_transitions = 100;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     faults::FaultScenario scenario;
     scenario.seed = seed++;
-    const faults::ProbedRun run = faults::run_probed(g, result.circuit, scenario, options);
+    const faults::ProbedRun run =
+        faults::run_probed(g, binding, scenario, options, runner, &probe);
     benchmark::DoNotOptimize(run.min_slack);
   }
 }
@@ -124,6 +134,9 @@ void bm_fault_scenario(benchmark::State& state) {
   faults::ScenarioOptions options;
   options.max_transitions = 100;
   const netlist::Netlist& circuit = result.circuit;
+  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(g, circuit);
+  sim::TrialRunner runner(compiled);
   // Glitch one set SOP net just under the threshold each iteration.
   netlist::NetId sop = -1;
   for (netlist::GateId gate = 0; gate < circuit.num_gates(); ++gate)
@@ -140,7 +153,8 @@ void bm_fault_scenario(benchmark::State& state) {
                                             .value = true,
                                             .time = 5.0,
                                             .width = 0.25});
-    const sim::ConformanceReport report = faults::run_scenario(g, circuit, scenario, options);
+    const sim::ConformanceReport report =
+        faults::run_scenario(g, binding, scenario, options, runner);
     benchmark::DoNotOptimize(report.absorbed_pulses);
   }
 }

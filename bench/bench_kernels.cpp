@@ -1,16 +1,18 @@
 // Compiled-kernel layer: single-thread speedup and equivalence measurement.
 //
 // Every hot path of the kernel layer has one production implementation and
-// one reference: the reference closed-loop trial (sim::run_closed_loop —
-// per-trial compile, heap-queue Simulator) for the trial engine, or a
-// test-only oracle linked from tests/oracles (stg::reference reachability,
-// sg::reference::compute_regions).  For each benchmark circuit this harness
-// runs the same trial configs once through the reference trial and once
-// through the production sim::TrialRunner, serially:
+// one reference, a test-only oracle linked from tests/oracles: the
+// reference closed-loop trial (sim::reference::run_closed_loop — per-trial
+// compile, heap-queue Simulator) for the trial engine, stg::reference
+// reachability and sg::reference::compute_regions.  For each benchmark
+// circuit this harness runs the same trial configs once through the
+// reference trial and once through the production sim::TrialRunner,
+// serially:
 //   * conformance: the Monte Carlo sweep's trials, as check_conformance
 //     builds them;
 //   * stress: the stress campaign's margin-run and fault-battery
-//     scenarios (faults::run_scenario, reference overload vs runner);
+//     scenarios (faults::reference::run_scenario vs faults::run_scenario
+//     on the runner);
 // and
 //   * asserts the two legs' reports are byte-identical (and the
 //     conformance leg equal to check_conformance's report);
@@ -36,6 +38,7 @@
 #include "obs/obs.hpp"
 #include "oracles/reachability_reference.hpp"
 #include "oracles/sg_reference.hpp"
+#include "oracles/trial_reference.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
 #include "sim/trial_runner.hpp"
@@ -158,7 +161,7 @@ CaseTiming measure(const std::string& name, bool smoke) {
     conf_ref_t.sample([&] {
       conf_reference = {};
       for (const sim::ClosedLoopConfig& config : trials)
-        merge_trial(conf_reference, sim::run_closed_loop(g, circuit, config));
+        merge_trial(conf_reference, sim::reference::run_closed_loop(g, circuit, config));
     });
     conf_fast_t.sample([&] {
       conf_compiled = {};
@@ -169,7 +172,8 @@ CaseTiming measure(const std::string& name, bool smoke) {
     stress_ref_t.sample([&] {
       stress_reference = {};
       for (const faults::FaultScenario& scenario : scenarios)
-        merge_trial(stress_reference, faults::run_scenario(g, circuit, scenario, stress.run));
+        merge_trial(stress_reference,
+                    faults::reference::run_scenario(g, circuit, scenario, stress.run));
     });
     stress_fast_t.sample([&] {
       stress_compiled = {};

@@ -8,6 +8,8 @@
 // Every option lives in kFlags below — one table row carries the name, the
 // value placeholder, the help line and the handler, and --help is generated
 // from the same table, so the parser and its documentation cannot drift.
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <climits>
@@ -15,7 +17,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -63,7 +64,7 @@ struct Cli {
   int soak = 0, batch_retries = 1, batch_stop_after = 0;
   std::uint64_t soak_seed = 1;
   double deadline_ms = 0, stage_deadline_ms = 0;
-  bool verify_kernels = false, inject_kernel_fault = false;
+  bool deadline_given = false;  // either deadline flag was on the command line
   // Serve mode (src/serve): socket or file-queue transport over a Server.
   std::string serve_socket, serve_dir, serve_journal, connect_path;
   int serve_max_inflight = 0, serve_queue = 256, serve_per_client = 2, serve_idle_exit = 0;
@@ -155,19 +156,18 @@ constexpr FlagSpec kFlags[] = {
      [](Cli& c, const char* v) {
        c.batch_stop_after = parse_int(v, 1, 1'000'000, "--batch-stop-after");
      }},
-    {"--deadline-ms", "MS", "whole-run wall-clock budget; overruns become clean deadline errors",
-     [](Cli& c, const char* v) { c.deadline_ms = parse_double(v, 0, 1e9, "--deadline-ms"); }},
-    {"--stage-deadline-ms", "MS", "per-stage wall-clock budget",
+    {"--deadline-ms", "MS",
+     "wall-clock budget per served request or batch run (--serve, --serve-dir, --batch, "
+     "--soak only); overruns become clean deadline errors",
+     [](Cli& c, const char* v) {
+       c.deadline_ms = parse_double(v, 0, 1e9, "--deadline-ms");
+       c.deadline_given = true;
+     }},
+    {"--stage-deadline-ms", "MS", "per-stage wall-clock budget (same modes as --deadline-ms)",
      [](Cli& c, const char* v) {
        c.stage_deadline_ms = parse_double(v, 0, 1e9, "--stage-deadline-ms");
+       c.deadline_given = true;
      }},
-    {"--verify-kernels", nullptr,
-     "cross-check every conformance trial against the reference trial; a divergent trial "
-     "keeps the reference report and is logged",
-     [](Cli& c, const char*) { c.verify_kernels = true; }},
-    {"--inject-kernel-fault", nullptr,
-     "TESTING: perturb TrialRunner results so --verify-kernels reports a divergence",
-     [](Cli& c, const char*) { c.inject_kernel_fault = true; }},
     {"--serve", "SOCKET", "serve NDJSON synthesis requests on a Unix socket until SIGTERM",
      [](Cli& c, const char* v) { c.serve_socket = v; }},
     {"--serve-dir", "DIR",
@@ -263,7 +263,6 @@ int run_serve(const Cli& cli) {
   serve::ServeOptions sopt;
   sopt.pipeline.run.deadline_ms = cli.deadline_ms;
   sopt.pipeline.run.stage_deadline_ms = cli.stage_deadline_ms;
-  sopt.pipeline.run.verify_kernels = cli.verify_kernels;
   sopt.pipeline.run.jobs = cli.jobs;
   sopt.pipeline.conformance.runs = cli.check_runs;
   sopt.pipeline.synthesis.exact = cli.exact;
@@ -273,6 +272,9 @@ int run_serve(const Cli& cli) {
   sopt.admission.per_client_inflight = cli.serve_per_client;
   sopt.admission.max_queue = cli.serve_queue;
   sopt.journal_path = cli.serve_journal;
+  // A session keeps every request's spans for the server's lifetime, so
+  // the server observes itself only when an exporter asks for it.
+  sopt.pipeline.collect_observability = !cli.trace_file.empty() || !cli.report_file.empty();
   serve::Server server(sopt);
 
   std::signal(SIGTERM, handle_stop_signal);
@@ -303,26 +305,13 @@ int run_serve(const Cli& cli) {
   return 0;
 }
 
-/// `--connect SOCKET`: pipeline every stdin request line to the server,
-/// then print one response line per request.  Responses arrive in
-/// completion order; match them to requests by "id".
+/// `--connect SOCKET`: pipeline every stdin request line to the server
+/// and print one response line per request as it arrives.  Responses
+/// arrive in completion order; match them to requests by "id".
 int run_connect(const Cli& cli) {
   serve::SocketClient client(cli.connect_path);
-  int sent = 0;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    client.send_line(line);
-    ++sent;
-  }
-  for (int i = 0; i < sent; ++i) {
-    const std::string response = client.recv_line();
-    if (response.empty()) {
-      std::fprintf(stderr, "error: server closed the connection (%d of %d responses)\n", i, sent);
-      return 1;
-    }
-    std::printf("%s\n", response.c_str());
-  }
+  client.pipeline(STDIN_FILENO,
+                  [](const std::string& response) { std::printf("%s\n", response.c_str()); });
   return 0;
 }
 
@@ -337,6 +326,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
+  // The deadlines are per-request knobs of the Pipeline the serve and
+  // batch modes run; the single-run path calls the stages directly.
+  const bool pipeline_mode = !cli.serve_socket.empty() || !cli.serve_dir.empty() ||
+                             !cli.batch_file.empty() || cli.soak > 0;
+  if (cli.deadline_given && !pipeline_mode) {
+    std::fprintf(stderr,
+                 "error: --deadline-ms/--stage-deadline-ms apply only to --serve, --serve-dir, "
+                 "--batch and --soak\n");
+    return 2;
+  }
   if (cli.jobs > 0) exec::set_default_jobs(cli.jobs);
 
   if (cli.list) {
@@ -346,8 +345,6 @@ int main(int argc, char** argv) {
                   info.nondistributive ? "no" : "yes");
     return 0;
   }
-  if (cli.inject_kernel_fault) sim::testing::set_kernel_fault_injection(true);
-
   if (!cli.serve_socket.empty() || !cli.serve_dir.empty()) {
     try {
       return run_serve(cli);
@@ -373,7 +370,6 @@ int main(int argc, char** argv) {
       bopt.stop_after = cli.batch_stop_after;
       bopt.pipeline.run.deadline_ms = cli.deadline_ms;
       bopt.pipeline.run.stage_deadline_ms = cli.stage_deadline_ms;
-      bopt.pipeline.run.verify_kernels = cli.verify_kernels;
       bopt.pipeline.run.jobs = cli.jobs;
       bopt.pipeline.conformance.runs = cli.check_runs;
       bopt.pipeline.synthesis.exact = cli.exact;
@@ -496,11 +492,7 @@ int main(int argc, char** argv) {
     if (cli.check_runs > 0) {
       sim::ConformanceOptions copt;
       copt.runs = cli.check_runs;
-      copt.verify_kernels = cli.verify_kernels;
       const sim::ConformanceReport report = sim::check_conformance(graph, result.circuit, copt);
-      if (!report.kernel_divergence.empty())
-        std::printf("\nkernel mismatch: %s\nkept the reference report of every divergent trial\n",
-                    report.kernel_divergence.c_str());
       std::printf("\nconformance: %s\n", report.summary().c_str());
       if (!report.clean()) return 1;
     }

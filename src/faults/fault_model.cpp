@@ -84,13 +84,6 @@ sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOpt
   return config;
 }
 
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options,
-                                    sim::VcdRecorder* recorder) {
-  return sim::run_closed_loop(spec, circuit, to_config(scenario, options), recorder);
-}
-
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options, sim::TrialRunner& runner,

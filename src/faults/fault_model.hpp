@@ -85,16 +85,8 @@ sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOpt
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options,
                                 std::vector<double> delays);
 
-/// Run one scenario of `circuit` against `spec` on the reference trial
-/// (sim::run_closed_loop) — the thin wrapper one-off runs (tests, benches)
-/// use.
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options,
-                                    sim::VcdRecorder* recorder = nullptr);
-
-/// The same scenario on `runner` (sim/trial_runner.hpp) against
-/// runner.compiled().
+/// Run one scenario of runner.compiled() against `spec` on `runner`
+/// (sim/trial_runner.hpp).
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options, sim::TrialRunner& runner,

@@ -261,39 +261,6 @@ std::vector<Eq1Requirement> eq1_requirements(const netlist::Netlist& circuit,
   return reqs;
 }
 
-namespace {
-
-/// Fold the probe's ω statistics and the Eq. 1 margins into the run.
-void collect_margins(const MarginProbe& probe, std::vector<Eq1Margin> eq1, ProbedRun& run) {
-  run.eq1 = std::move(eq1);
-  for (int k = 0; k < probe.num_cells(); ++k) {
-    run.omega.push_back(probe.stats(k));
-    run.min_slack = std::min(run.min_slack, probe.stats(k).min_slack());
-  }
-  for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
-}
-
-}  // namespace
-
-namespace {
-
-/// The closed-loop config of one probed run, with `probe` reset and
-/// attached.  The materialized delay vector moves in as the explicit
-/// assignment — the one copy of it a probed run makes; the Eq. 1
-/// evaluation reads it back from config.sim.explicit_delays.
-sim::ClosedLoopConfig probed_config(const sim::CompiledNetlist& compiled,
-                                    const FaultScenario& scenario, const ScenarioOptions& options,
-                                    MarginProbe& probe) {
-  probe.reset();
-  sim::ClosedLoopConfig config =
-      to_config(scenario, options, materialize_delays(compiled, scenario));
-  config.observer = probe.observer();
-  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
-  return config;
-}
-
-}  // namespace
-
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe_reuse) {
@@ -301,22 +268,22 @@ ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding
   std::optional<MarginProbe> local;
   MarginProbe& probe =
       probe_reuse != nullptr ? *probe_reuse : local.emplace(compiled.netlist(), compiled.lib());
-  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
+  probe.reset();
+  // The materialized delay vector moves in as the explicit assignment —
+  // the one copy of it a probed run makes; the Eq. 1 evaluation reads it
+  // back from config.sim.explicit_delays.
+  sim::ClosedLoopConfig config =
+      to_config(scenario, options, materialize_delays(compiled, scenario));
+  config.observer = probe.observer();
+  config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
   ProbedRun run;
   run.report = runner.run(spec, binding, config);
-  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
-  return run;
-}
-
-ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                     const FaultScenario& scenario, const ScenarioOptions& options) {
-  const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
-  const sim::CompiledNetlist compiled(circuit, lib);
-  MarginProbe probe(circuit, lib);
-  const sim::ClosedLoopConfig config = probed_config(compiled, scenario, options, probe);
-  ProbedRun run;
-  run.report = sim::run_closed_loop(spec, circuit, config);
-  collect_margins(probe, eq1_margins(compiled, config.sim.explicit_delays), run);
+  run.eq1 = eq1_margins(compiled, config.sim.explicit_delays);
+  for (int k = 0; k < probe.num_cells(); ++k) {
+    run.omega.push_back(probe.stats(k));
+    run.min_slack = std::min(run.min_slack, probe.stats(k).min_slack());
+  }
+  for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
   return run;
 }
 

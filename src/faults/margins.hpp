@@ -163,9 +163,4 @@ ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding
                      const FaultScenario& scenario, const ScenarioOptions& options,
                      sim::TrialRunner& runner, MarginProbe* probe = nullptr);
 
-/// The same probed run on the reference trial (sim::run_closed_loop) —
-/// the thin wrapper one-off runs (tests, benches) use.
-ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                     const FaultScenario& scenario, const ScenarioOptions& options);
-
 }  // namespace nshot::faults

@@ -166,7 +166,6 @@ std::string BatchSummary::to_json() const {
     json.key("resumed").value(run.resumed);
     json.key("attempts").value(run.attempts);
     json.key("elapsed_ms").value(run.elapsed_ms);
-    json.key("kernel_fallbacks").value(run.kernel_fallbacks);
     if (!run.ok) {
       json.key("code").value(error_code_name(run.code));
       json.key("stage").value(run.stage);

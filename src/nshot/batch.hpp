@@ -30,7 +30,7 @@
 //
 // and the keys override the shared RunConfig / stage knobs per run:
 //   seed, jobs, runs (conformance trials), deadline_ms, stage_deadline_ms,
-//   verify_kernels, stress, exact.
+//   stress, exact.
 #pragma once
 
 #include <map>
@@ -79,7 +79,6 @@ struct BatchRunResult {
   std::string message;
   int attempts = 0;   // executed attempts this invocation (0 when resumed)
   double elapsed_ms = 0.0;
-  int kernel_fallbacks = 0;  // stages that kept a reference result (verify_kernels)
   std::string payload;  // Response::payload_json() when record_payloads was set
 };
 
@@ -108,7 +107,7 @@ class BatchRunner {
 
   /// A manifest of `count` generated circuits (`gen-<i> gen:<seed_i>`),
   /// seeds derived run_seed(base_seed, i); `extra_params` is appended to
-  /// every line (e.g. "deadline_ms=2000 verify_kernels=1").
+  /// every line (e.g. "deadline_ms=2000 runs=4").
   static std::string soak_manifest(int count, std::uint64_t base_seed,
                                    const std::string& extra_params = "");
 

@@ -19,7 +19,6 @@ std::string journal_line(const BatchRunResult& result) {
   }
   json.key("attempts").value(result.attempts);
   json.key("elapsed_ms").value(result.elapsed_ms);
-  if (result.kernel_fallbacks > 0) json.key("kernel_fallbacks").value(result.kernel_fallbacks);
   json.end_object();
   return json.str();
 }
@@ -60,9 +59,7 @@ BatchRunResult batch_result(const Response& response) {
   result.ok = response.outcome.ok();
   result.attempts = response.attempts;
   result.elapsed_ms = response.elapsed_ms;
-  if (result.ok) {
-    result.kernel_fallbacks = static_cast<int>(response.outcome.run->kernel_fallbacks.size());
-  } else {
+  if (!result.ok) {
     result.code = response.outcome.code;
     result.stage = response.outcome.stage;
     result.message = response.outcome.message;

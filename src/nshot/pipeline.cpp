@@ -50,7 +50,7 @@ void run_stage(const char* name, const RunConfig& run, const exec::CancelToken& 
 
 Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
   // Apply the shared RunConfig once, up front: every stage below sees the
-  // same seed / jobs / verify_kernels regardless of what the caller left
+  // same seed / jobs / deadlines regardless of what the caller left
   // in the per-stage sub-structs.
   options_.synthesis.apply_run_config(options_.run);
   options_.conformance.apply_run_config(options_.run);
@@ -127,18 +127,13 @@ RunOutcome Pipeline::run_with(const PipelineOptions& options, const sg::StateGra
               [&] { synthesis.emplace(core::synthesize(*graph, options.synthesis)); });
     out.stages_completed.emplace_back("synthesize");
 
-    PipelineRun result{graph->name(), std::move(*graph), std::move(*synthesis),
-                       {}, false, {}, false, {}};
+    PipelineRun result{graph->name(), std::move(*graph), std::move(*synthesis)};
     if (options.verify_conformance) {
       stage = "conformance";
       run_stage("conformance", options.run, run_token, [&] {
         result.conformance =
             sim::check_conformance(result.graph, result.synthesis.circuit, options.conformance);
       });
-      if (!result.conformance.kernel_divergence.empty()) {
-        obs::count(obs::Counter::kKernelFallbacks);
-        result.kernel_fallbacks.push_back("conformance: " + result.conformance.kernel_divergence);
-      }
       result.conformance_ran = true;
       out.stages_completed.emplace_back("conformance");
     }

@@ -6,9 +6,9 @@
 //
 // plus an owned obs::Session so every run is traced and reportable
 // without the caller touching the observability layer.  The shared
-// nshot::RunConfig (seed / jobs / verify_kernels / deadlines) is applied
-// once here and propagated to every stage's options, replacing the
-// per-stage copies callers previously had to keep in sync.
+// nshot::RunConfig (seed / jobs / deadlines) is applied once here and
+// propagated to every stage's options, replacing the per-stage copies
+// callers previously had to keep in sync.
 //
 // The facade adds no policy of its own: each stage is the same public
 // function the examples called directly, in the same order, with the
@@ -63,10 +63,11 @@ struct PipelineRun {
   bool conformance_ran = false;
   faults::StressReport stress;  // default unless stress_ran
   bool stress_ran = false;
-  /// Graceful-degradation record: stages whose verify_kernels cross-check
-  /// diverged and kept the reference result instead.  Empty on a clean
-  /// run.  Each entry is "<stage>: <first divergence>".
-  std::vector<std::string> kernel_fallbacks;
+  /// Holds nothing.  perfbench/layers.cpp builds a PipelineRun from eight
+  /// positional initializers, the eighth for a retired per-stage record;
+  /// this empty slot keeps that layout compiling until it names its fields.
+  struct Unused {};
+  [[no_unique_address]] Unused unused;
 
   /// Synthesized, conformant (when checked) and fault-clean (when stressed).
   bool ok() const {
@@ -121,9 +122,9 @@ struct Request {
 
   /// Per-request overrides over the base RunConfig / stage knobs — the
   /// same key set batch manifests accept: seed, jobs, runs, deadline_ms,
-  /// stage_deadline_ms, verify_kernels, stress, exact.  Applied after
-  /// `kind`, so `stress=1` can re-enable the battery on a "conformance"
-  /// request.  Unknown keys are rejected as kInputInvalid.
+  /// stage_deadline_ms, stress, exact.  Applied after `kind`, so
+  /// `stress=1` can re-enable the battery on a "conformance" request.
+  /// Unknown keys are rejected as kInputInvalid.
   std::map<std::string, std::string> overrides;
 
   /// The accepted override keys (shared with BatchRunner::parse_manifest).
@@ -163,9 +164,7 @@ class Pipeline {
   /// flow under the RunConfig deadline knobs — each stage runs under a
   /// CancelToken budgeted to min(stage_deadline_ms, remaining run
   /// deadline_ms), with a Watchdog firing the token on wall-clock overrun
-  /// so even non-polling work is cancelled at its next checkpoint.  A
-  /// verify_kernels divergence is not a failure: the stage keeps the
-  /// reference result and PipelineRun::kernel_fallbacks records it.
+  /// so even non-polling work is cancelled at its next checkpoint.
   /// Never throws: every failure — including spec-resolution problems,
   /// reported as stage "load" — comes back as a classified RunOutcome.
   ///

@@ -55,8 +55,6 @@ void apply_override(PipelineOptions& options, const std::string& key, const std:
     options.run.deadline_ms = parse_double(value, 0, 1e9, "deadline_ms");
   else if (key == "stage_deadline_ms")
     options.run.stage_deadline_ms = parse_double(value, 0, 1e9, "stage_deadline_ms");
-  else if (key == "verify_kernels")
-    options.run.verify_kernels = parse_flag(value);
   else if (key == "stress")
     options.stress_test = parse_flag(value);
   else if (key == "exact")
@@ -69,8 +67,7 @@ void apply_override(PipelineOptions& options, const std::string& key, const std:
 
 const std::set<std::string>& Request::known_override_keys() {
   static const std::set<std::string> keys = {
-      "seed",           "jobs",   "runs", "deadline_ms", "stage_deadline_ms",
-      "verify_kernels", "stress", "exact"};
+      "seed", "jobs", "runs", "deadline_ms", "stage_deadline_ms", "stress", "exact"};
   return keys;
 }
 
@@ -173,7 +170,6 @@ void render_payload(JsonWriter& json, const Response& response) {
     const PipelineRun& run = *outcome.run;
     json.key("benchmark").value(run.benchmark);
     json.key("clean").value(run.ok());
-    json.key("kernel_fallbacks").value(static_cast<int>(run.kernel_fallbacks.size()));
     json.key("synthesis").begin_object();
     json.key("area").value(run.synthesis.stats.area);
     json.key("delay").value(run.synthesis.stats.delay);

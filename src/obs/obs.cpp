@@ -31,8 +31,6 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"primes_generated", true},
     {"trigger_cubes_added", true},
     {"trials_run", true},
-    {"kernel_mismatches", true},
-    {"kernel_fallbacks", true},
     {"faults_injected", true},
     {"adversarial_evaluations", false},
     {"memo_hits", false},

@@ -51,8 +51,6 @@ enum class Counter : int {
   kPrimesGenerated,          // exact-minimizer prime implicants
   kTriggerCubesAdded,        // Theorem 1 repair cubes
   kTrialsRun,                // closed-loop simulation trials
-  kKernelMismatches,         // verify_kernels divergences detected
-  kKernelFallbacks,          // stages that kept the reference result
   kFaultsInjected,           // fault-battery entries evaluated
   kAdversarialEvaluations,   // hill-climb objective evaluations (nondet:
                              // parallel restarts run past the serial early exit)

@@ -16,11 +16,11 @@
 // The server owns one Pipeline (and through it at most one obs::Session,
 // labelled, so concurrent submits never race on the session label); every
 // request runs through Pipeline::submit, so the full Error-taxonomy /
-// deadline / kernel-fallback machinery of the checked path applies
-// per-request.  Graceful drain: stop admitting, reject everything still
-// queued (message prefix "draining" — transports restore those requests),
-// wait for in-flight work, leaving a journal a later server OR a serial
-// BatchRunner can resume from.
+// deadline machinery of the checked path applies per-request.  Graceful
+// drain: stop admitting, reject everything still queued (message prefix
+// "draining" — transports restore those requests), wait for in-flight
+// work, leaving a journal a later server OR a serial BatchRunner can
+// resume from.
 #pragma once
 
 #include <condition_variable>

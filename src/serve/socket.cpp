@@ -304,4 +304,68 @@ std::string SocketClient::roundtrip(const WireRequest& wire) {
   return recv_line();
 }
 
+void SocketClient::pipeline(int input_fd,
+                            const std::function<void(const std::string&)>& on_response) {
+  LineSplitter input;
+  std::string outbound;  // request bytes read but not yet sent
+  std::size_t written = 0;
+  bool input_open = true;
+  long sent = 0, received = 0;
+  std::string line;
+  char chunk[65536];
+  auto closed = [&] {
+    return Error(ErrorCode::kInternal, "server closed the connection (" +
+                                           std::to_string(received) + " of " +
+                                           std::to_string(sent) + " responses)");
+  };
+  while (input_open || written < outbound.size() || received < sent) {
+    // Read more requests only while the unsent ones stay under the cap.
+    const bool want_input = input_open && outbound.size() - written < kHighWater;
+    short events = 0;
+    if (written < outbound.size()) events |= POLLOUT;
+    if (received < sent) events |= POLLIN;
+    pollfd fds[2] = {{events != 0 ? fd_ : -1, events, 0}, {want_input ? input_fd : -1, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      NSHOT_REQUIRE_CODE(errno == EINTR, ErrorCode::kInternal,
+                         std::string("poll: ") + std::strerror(errno));
+      continue;
+    }
+    if (fds[1].revents != 0) {
+      const ssize_t n = ::read(input_fd, chunk, sizeof chunk);
+      if (n > 0) {
+        input.append(chunk, static_cast<std::size_t>(n));
+      } else if (n == 0) {
+        input_open = false;
+        input.append("\n", 1);  // a last line without its newline still counts
+      } else {
+        NSHOT_REQUIRE_CODE(retry(errno), ErrorCode::kInternal,
+                           std::string("read: ") + std::strerror(errno));
+      }
+      outbound.erase(0, written);
+      written = 0;
+      while (input.next(line)) {
+        if (line.empty()) continue;
+        outbound += line;
+        outbound += '\n';
+        ++sent;
+      }
+    }
+    if (fds[0].revents & POLLOUT) {
+      const ssize_t n = ::send(fd_, outbound.data() + written, outbound.size() - written,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0 && !retry(errno)) throw closed();
+      if (n > 0) written += static_cast<std::size_t>(n);
+    }
+    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
+      if (n == 0 || (n < 0 && !retry(errno))) throw closed();
+      if (n > 0) buffer_.append(chunk, static_cast<std::size_t>(n));
+      while (received < sent && buffer_.next(line)) {
+        ++received;
+        on_response(line);
+      }
+    }
+  }
+}
+
 }  // namespace nshot::serve

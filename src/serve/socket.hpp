@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -96,6 +97,14 @@ class SocketClient {
 
   /// send() + recv_line() — only valid when nothing else is pipelined.
   std::string roundtrip(const WireRequest& wire);
+
+  /// Send every non-empty line read from `input_fd` until its EOF, and
+  /// hand each response line to `on_response` as it arrives.  One poll()
+  /// loop interleaves the writes and the reads, so a batch whose unread
+  /// responses pass the server's outbound cap cannot wedge both sides.
+  /// Returns once every request is answered; throws Error(kInternal) when
+  /// the server closes the connection first.
+  void pipeline(int input_fd, const std::function<void(const std::string&)>& on_response);
 
  private:
   int fd_ = -1;

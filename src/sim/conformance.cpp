@@ -1,8 +1,6 @@
 #include "sim/conformance.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
 
 #include "exec/thread_pool.hpp"
@@ -76,44 +74,6 @@ SpecBinding::SpecBinding(const sg::StateGraph& spec, const netlist::Netlist& cir
           e.target;
 }
 
-namespace {
-
-/// First differing fingerprint field between two single-trial reports, or
-/// nullptr when they agree.  Everything a trial computes funnels into
-/// these fields, so agreement here is agreement on the trial.
-const char* trial_mismatch_field(const ConformanceReport& got, const ConformanceReport& want) {
-  if (got.external_transitions != want.external_transitions) return "external_transitions";
-  if (got.internal_toggles != want.internal_toggles) return "internal_toggles";
-  if (got.absorbed_pulses != want.absorbed_pulses) return "absorbed_pulses";
-  if (got.simulated_time != want.simulated_time) return "simulated_time";
-  if (got.deadlocks != want.deadlocks) return "deadlocks";
-  if (got.budget_exhausted != want.budget_exhausted) return "budget_exhausted";
-  if (got.violations.size() != want.violations.size()) return "violations";
-  return nullptr;
-}
-
-std::atomic<int> g_inject_kernel_fault{-1};  // -1 = env not read yet
-
-}  // namespace
-
-namespace testing {
-
-void set_kernel_fault_injection(bool enabled) {
-  g_inject_kernel_fault.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool kernel_fault_injection() {
-  int v = g_inject_kernel_fault.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("NSHOT_INJECT_KERNEL_FAULT");
-    v = (env && *env && *env != '0') ? 1 : 0;
-    g_inject_kernel_fault.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-}  // namespace testing
-
 /// Fold one trial's report into the sweep total.  Trials are merged in run
 /// order, so a parallel sweep reproduces the serial report byte for byte.
 static void merge_run(ConformanceReport& total, const ConformanceReport& run) {
@@ -155,7 +115,6 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
   };
   const std::size_t runs = static_cast<std::size_t>(std::max(options.runs, 0));
   std::vector<ConformanceReport> trials(runs);
-  std::vector<std::string> divergences(options.verify_kernels ? runs : 0);
   exec::parallel_for_chunks(
       options.runs, exec::batch_grain(options.runs, options.jobs),
       [&](int begin, int end) {
@@ -165,45 +124,28 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
         const obs::Span chunk_span = obs::Span::task("trials", begin);
         obs::count(obs::Counter::kTrialsRun, end - begin);
         TrialRunner runner(compiled);  // one per chunk
-        for (int r = begin; r < end; ++r) {
-          const ClosedLoopConfig config = trial_config(r);
-          ConformanceReport trial = runner.run(spec, binding, config);
-          if (options.verify_kernels) {
-            if (testing::kernel_fault_injection()) ++trial.internal_toggles;
-            ConformanceReport oracle = run_closed_loop(spec, compiled.netlist(), config);
-            if (const char* field = trial_mismatch_field(trial, oracle)) {
-              obs::count(obs::Counter::kKernelMismatches);
-              divergences[static_cast<std::size_t>(r)] =
-                  "compiled simulator diverged from the reference trial on trial " +
-                  std::to_string(r) + " (seed " + std::to_string(config.sim.seed) +
-                  "): field " + field;
-              trial = std::move(oracle);
-            }
-          }
-          trials[static_cast<std::size_t>(r)] = std::move(trial);
-        }
+        for (int r = begin; r < end; ++r)
+          trials[static_cast<std::size_t>(r)] = runner.run(spec, binding, trial_config(r));
       },
       options.jobs);
   ConformanceReport report;
   report.runs = options.runs;
   for (const ConformanceReport& trial : trials) merge_run(report, trial);
-  for (std::string& divergence : divergences)
-    if (!divergence.empty()) {
-      report.kernel_divergence = std::move(divergence);
-      break;
-    }
   return report;
 }
 
 TracedRun record_vcd_trace(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                            std::uint64_t seed, int max_transitions) {
+  const CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  const SpecBinding binding(spec, circuit);
+  TrialRunner runner(compiled);
   VcdRecorder recorder(circuit);
   ClosedLoopConfig config;
   config.sim.seed = seed;
   config.sim.randomize_delays = true;
   config.max_transitions = max_transitions;
   TracedRun traced = {};
-  traced.report = run_closed_loop(spec, circuit, config, &recorder);
+  traced.report = runner.run(spec, binding, config, &recorder);
   traced.vcd = recorder.write();
   return traced;
 }

@@ -26,9 +26,9 @@ namespace nshot::sim {
 
 class VcdRecorder;
 
-/// The shared seed / jobs / verify_kernels knobs live in
-/// nshot::RunConfig; the old spellings (`options.seed`, `options.jobs`,
-/// ...) are inherited members and keep compiling unchanged.
+/// The shared seed / jobs / deadline knobs live in nshot::RunConfig; the
+/// old spellings (`options.seed`, `options.jobs`, ...) are inherited
+/// members and keep compiling unchanged.
 struct ConformanceOptions : RunConfig {
   int runs = 20;                 // independent delay samples
   int max_transitions = 200;     // observable transitions per run
@@ -72,11 +72,6 @@ struct ConformanceReport {
   int deadlocks = 0;
   int budget_exhausted = 0;       // runs that hit the event budget
   std::vector<ConformanceViolation> violations;
-  /// Under verify_kernels: the first trial, by index, whose TrialRunner
-  /// report diverged from the reference trial ("... on trial r (seed s):
-  /// field f"); that trial's reference report is what the sweep merged.
-  /// Empty when nothing diverged or the cross-check was off.
-  std::string kernel_divergence;
 
   /// Average simulated time per observable transition (dynamic cycle-time
   /// proxy); 0 when nothing fired.
@@ -88,31 +83,12 @@ struct ConformanceReport {
   std::string summary() const;
 };
 
-namespace testing {
-/// Deterministic kernel-fault injection for exercising the verify_kernels
-/// cross-check end to end: while enabled, every TrialRunner conformance
-/// trial's fingerprint is perturbed before the reference comparison, as if
-/// the fused engine had miscomputed a toggle count.  The reference trial
-/// is untouched, so the sweep keeps its reports and the result equals a
-/// clean run's.  Also enabled by the NSHOT_INJECT_KERNEL_FAULT environment
-/// variable (read once, at first query).  Test/CI hook only; never set in
-/// production runs.
-void set_kernel_fault_injection(bool enabled);
-bool kernel_fault_injection();
-}  // namespace testing
-
 /// Run `options.runs` randomized-delay closed-loop simulations of `circuit`
 /// against `spec`.  The circuit's primary input nets must be named after
 /// the SG input signals and the observable non-input nets after the SG
 /// non-input signals (all synthesizers in this repository follow that
-/// convention).
-///
-/// With `options.verify_kernels` set, every trial also runs through the
-/// reference trial (run_closed_loop) and the two single-trial reports are
-/// compared field by field.  A divergent trial keeps the reference report
-/// and counts one kKernelMismatches; the first divergence by trial index
-/// is recorded in ConformanceReport::kernel_divergence.  The reference
-/// trial simulates with the standard gate library.
+/// convention).  Trials run on sim::TrialRunner over the circuit compiled
+/// with the standard gate library.
 ConformanceReport check_conformance(const sg::StateGraph& spec,
                                     const netlist::Netlist& circuit,
                                     const ConformanceOptions& options = {});
@@ -193,21 +169,9 @@ struct ClosedLoopConfig {
   std::function<void(const Simulator&)> on_initialized;
 };
 
-/// Run ONE closed-loop simulation of `circuit` against `spec` under the
-/// given configuration; returns a single-run report (runs == 1).  When
-/// `recorder` is non-null every net change is also captured for VCD
-/// export.  This is the reference trial: it compiles the circuit and
-/// constructs a heap-queue Simulator per call, and sim::TrialRunner
-/// (sim/trial_runner.hpp) is byte-identical to it.  Production callers are
-/// record_vcd_trace and the verify_kernels cross-check; the netlist
-/// overloads of faults::run_scenario and run_probed wrap it for one-off
-/// runs.
-ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                                  const ClosedLoopConfig& config,
-                                  VcdRecorder* recorder = nullptr);
-
-/// Run one closed-loop simulation and return its full waveform as VCD
-/// text (see sim/vcd.hpp) together with the conformance outcome.
+/// Run one closed-loop simulation (seed `seed`, randomized delays) on
+/// sim::TrialRunner and return its full waveform as VCD text (see
+/// sim/vcd.hpp) together with the conformance outcome.
 struct TracedRun {
   std::string vcd;
   ConformanceReport report;

@@ -7,9 +7,9 @@
 // (fingerprints, violation text, VCD witnesses all stay identical).
 //
 //  * BinaryHeapQueue — the arena-backed binary min-heap the simulator
-//    shipped with (PR 3).  O(log n) per operation; kept compiled in as
-//    the reference queue and as the engine of the reference trial
-//    (run_closed_loop).
+//    shipped with.  O(log n) per operation; kept compiled in as the
+//    reference queue and as the engine of the reference trial
+//    (tests/oracles/trial_reference.hpp).
 //  * SortedArrayQueue — one flat array in ascending (time, seq) order;
 //    the adaptive queue's small-population engine (below).
 //  * CalendarQueue — R. Brown's calendar queue (CACM 1988): buckets of

@@ -4,9 +4,7 @@
 //
 // A conformance/stress campaign runs hundreds of closed-loop trials that
 // differ only in their delay draws, environment streams and faults.
-// TrialRunner executes them one at a time against a compiled netlist,
-// rebuilt for throughput over the per-trial reference driver (run_once in
-// trial_runner.cpp, exposed as run_closed_loop):
+// TrialRunner executes them one at a time against a compiled netlist:
 //
 //  * one adaptive-queue Simulator (sim/event_queue.hpp — sorted array at
 //    small populations, calendar past the measured crossover) reset and
@@ -20,13 +18,12 @@
 //    timed injection (glitch force/release), and only observable commits
 //    surface to the spec walk — no std::function observer per commit.
 //
-// The contract is byte-identity: for every config, TrialRunner::run
-// produces the same ConformanceReport — violation strings, simulated-time
-// doubles, RNG draw sequence — and the same VCD witness bytes as
-// run_closed_loop.  The differential battery in
-// tests/sim_batch_equivalence_test.cpp enforces this over fuzzed circuits;
-// check_conformance enforces it per trial under verify_kernels, keeping the
-// reference report where the two differ.
+// The contract is byte-identity with the reference trial, the per-trial
+// heap-queue driver in tests/oracles/trial_reference.hpp: for every
+// config, TrialRunner::run produces the same ConformanceReport — violation
+// strings, simulated-time doubles, RNG draw sequence — and the same VCD
+// witness bytes.  The differential battery in
+// tests/sim_batch_equivalence_test.cpp enforces this over fuzzed circuits.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +34,10 @@
 
 namespace nshot::sim {
 
-/// One closed-loop trial at a time, byte-identical to
-/// run_closed_loop(spec, circuit, config).  Reusable across trials and
-/// bindings of the same compiled netlist — all arenas (queue buckets,
-/// settle cache, choice scratch) keep their capacity.
+/// One closed-loop trial at a time, byte-identical to the reference trial
+/// on the same config.  Reusable across trials and bindings of the same
+/// compiled netlist — all arenas (queue buckets, settle cache, choice
+/// scratch) keep their capacity.
 class TrialRunner {
  public:
   explicit TrialRunner(const CompiledNetlist& compiled);

@@ -9,7 +9,9 @@
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generators.hpp"
 #include "nshot/synthesis.hpp"
+#include "oracles/trial_reference.hpp"
 #include "sim/conformance.hpp"
+#include "sim/vcd.hpp"
 
 namespace nshot {
 namespace {
@@ -150,6 +152,35 @@ TEST(ConformanceDetailTest, VcdTraceOfAClosedLoopRun) {
   EXPECT_GT(traced.report.simulated_time, 0.0);
   EXPECT_GT(traced.report.time_per_transition(), 0.0);
 }
+
+/// record_vcd_trace runs the production TrialRunner; its waveform and
+/// report must be the reference trial's, byte for byte.
+class VcdTraceReferenceTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(VcdTraceReferenceTest, RecordVcdTraceMatchesTheReferenceTrial) {
+  const sg::StateGraph g = bench_suite::build_benchmark(GetParam());
+  const core::SynthesisResult result = core::synthesize(g);
+  const sim::TracedRun traced = sim::record_vcd_trace(g, result.circuit, 5, 40);
+
+  sim::ClosedLoopConfig config;
+  config.sim.seed = 5;
+  config.sim.randomize_delays = true;
+  config.max_transitions = 40;
+  sim::VcdRecorder recorder(result.circuit);
+  const sim::ConformanceReport want =
+      sim::reference::run_closed_loop(g, result.circuit, config, &recorder);
+
+  EXPECT_EQ(traced.vcd, recorder.write());
+  EXPECT_EQ(traced.report.summary(), want.summary());
+  EXPECT_EQ(traced.report.runs, want.runs);
+  EXPECT_EQ(traced.report.external_transitions, want.external_transitions);
+  EXPECT_EQ(traced.report.internal_toggles, want.internal_toggles);
+  EXPECT_EQ(traced.report.absorbed_pulses, want.absorbed_pulses);
+  EXPECT_EQ(traced.report.simulated_time, want.simulated_time);  // bit-exact
+}
+
+INSTANTIATE_TEST_SUITE_P(Benchmarks, VcdTraceReferenceTest,
+                         ::testing::Values("chu133", "converta"));
 
 /// Seed sweep on one non-trivial benchmark: many delay samples, long runs.
 class SeedSweepTest : public ::testing::TestWithParam<int> {};

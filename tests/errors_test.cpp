@@ -37,7 +37,7 @@ TEST(ErrorCodeTest, NamesAreStableSnakeCase) {
 TEST(ErrorCodeTest, UnknownNameClassifiesAsInternal) {
   EXPECT_EQ(error_code_from_name("no_such_code"), ErrorCode::kInternal);
   EXPECT_EQ(error_code_from_name(""), ErrorCode::kInternal);
-  // A retired code (verify_kernels divergences are no longer errors).
+  // A retired code: kernel mismatches are no longer errors.
   EXPECT_EQ(error_code_from_name("kernel_mismatch"), ErrorCode::kInternal);
 }
 

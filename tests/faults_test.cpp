@@ -13,6 +13,7 @@
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
 #include "obs/obs.hpp"
+#include "oracles/trial_reference.hpp"
 #include "sim/conformance.hpp"
 #include "sim/vcd.hpp"
 
@@ -72,7 +73,7 @@ TEST(FaultModelTest, StuckAtOnAcknowledgementRailDeadlocks) {
   scenario.faults.push_back(
       Fault{.kind = FaultKind::kStuckAt, .net = first_mhs(s.circuit).inputs[2], .value = false});
   const sim::ConformanceReport report =
-      faults::run_scenario(s.graph, s.circuit, scenario, ScenarioOptions{});
+      faults::reference::run_scenario(s.graph, s.circuit, scenario, ScenarioOptions{});
   EXPECT_FALSE(report.clean());
   EXPECT_TRUE(has_kind(report, sim::ViolationKind::kDeadlock)) << report.summary();
 }
@@ -87,7 +88,7 @@ TEST(FaultModelTest, StuckAtOnPrimaryInputDeadlocks) {
   FaultScenario scenario;
   scenario.faults.push_back(Fault{.kind = FaultKind::kStuckAt, .net = *net, .value = false});
   const sim::ConformanceReport report =
-      faults::run_scenario(s.graph, s.circuit, scenario, ScenarioOptions{});
+      faults::reference::run_scenario(s.graph, s.circuit, scenario, ScenarioOptions{});
   EXPECT_FALSE(report.clean());
   EXPECT_TRUE(has_kind(report, sim::ViolationKind::kDeadlock)) << report.summary();
 }
@@ -106,7 +107,7 @@ TEST(FaultModelTest, SubThresholdGlitchIsAbsorbedSuperThresholdFires) {
   absorbed.faults.push_back(Fault{
       .kind = FaultKind::kGlitch, .net = sop, .value = true, .time = 5.0, .width = omega - 0.05});
   const sim::ConformanceReport clean_run =
-      faults::run_scenario(s.graph, s.circuit, absorbed, quiet_env());
+      faults::reference::run_scenario(s.graph, s.circuit, absorbed, quiet_env());
   EXPECT_TRUE(clean_run.clean()) << clean_run.summary();
   EXPECT_GT(clean_run.absorbed_pulses, 0);
 
@@ -114,7 +115,7 @@ TEST(FaultModelTest, SubThresholdGlitchIsAbsorbedSuperThresholdFires) {
   fired.faults.push_back(Fault{
       .kind = FaultKind::kGlitch, .net = sop, .value = true, .time = 5.0, .width = omega + 0.05});
   const sim::ConformanceReport hazard_run =
-      faults::run_scenario(s.graph, s.circuit, fired, quiet_env());
+      faults::reference::run_scenario(s.graph, s.circuit, fired, quiet_env());
   EXPECT_FALSE(hazard_run.clean());
   EXPECT_TRUE(has_kind(hazard_run, sim::ViolationKind::kHazard)) << hazard_run.summary();
 }
@@ -126,7 +127,7 @@ TEST(FaultModelTest, EventBudgetSurfacesAsStructuredViolation) {
   ScenarioOptions options;
   options.max_events = 40;
   const sim::ConformanceReport report =
-      faults::run_scenario(s.graph, s.circuit, FaultScenario{}, options);
+      faults::reference::run_scenario(s.graph, s.circuit, FaultScenario{}, options);
   EXPECT_TRUE(has_kind(report, sim::ViolationKind::kEventBudget)) << report.summary();
   EXPECT_GT(report.budget_exhausted, 0);
 }
@@ -134,7 +135,7 @@ TEST(FaultModelTest, EventBudgetSurfacesAsStructuredViolation) {
 TEST(MarginTest, CleanRunsHavePositiveMargins) {
   const Synthesized s = synthesize("chu172");
   const faults::ProbedRun run =
-      faults::run_probed(s.graph, s.circuit, FaultScenario{}, ScenarioOptions{});
+      faults::reference::run_probed(s.graph, s.circuit, FaultScenario{}, ScenarioOptions{});
   EXPECT_TRUE(run.report.clean()) << run.report.summary();
   ASSERT_FALSE(run.omega.empty());
   ASSERT_FALSE(run.eq1.empty());
@@ -156,7 +157,8 @@ TEST(MarginTest, ProbeSeesAbsorbedPulseWithItsSlack) {
                                   .value = true,
                                   .time = 5.0,
                                   .width = omega - 0.05});
-  const faults::ProbedRun run = faults::run_probed(s.graph, s.circuit, scenario, quiet_env());
+  const faults::ProbedRun run =
+      faults::reference::run_probed(s.graph, s.circuit, scenario, quiet_env());
   long absorbed = 0;
   double min_absorb = faults::kNoMargin;
   for (const faults::OmegaStats& stats : run.omega) {
@@ -256,7 +258,7 @@ void expect_witness_matches_reference_replay(const Synthesized& s, const netlist
                                              const faults::MinimizedWitness& witness) {
   ASSERT_EQ(witness.scenario.delays.size(), static_cast<std::size_t>(circuit.num_gates()));
   sim::VcdRecorder recorder(circuit);
-  const sim::ConformanceReport want = faults::run_scenario(
+  const sim::ConformanceReport want = faults::reference::run_scenario(
       s.graph, circuit, witness.scenario, faults::MinimizeOptions{}.run, &recorder);
   const sim::ConformanceReport& got = witness.report;
   EXPECT_EQ(got.clean(), want.clean());

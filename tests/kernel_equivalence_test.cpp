@@ -1,13 +1,14 @@
 // Kernel equivalence tests: every compiled / sorted-vector / bit-plane hot
 // path introduced by the kernel layer must be byte-identical to the
 // original reference implementation it replaced.  The references are the
-// reference closed-loop trial (sim::run_closed_loop, with the probed and
-// scenario wrappers over it in faults/) and the test-only oracles linked
-// from tests/oracles (stg::reference reachability; sg::reference regions,
-// CSC, USC, the CSC conflict count and detonant states;
-// logic::reference::verify_cover and generate_primes;
-// core::reference::enforce_trigger_requirement), so the comparison runs
-// over randomly generated controllers and the Table 2 suite in one binary.
+// test-only oracles linked from tests/oracles (the reference closed-loop
+// trial, sim::reference::run_closed_loop and check_conformance, with the
+// probed and scenario wrappers over it in faults::reference;
+// stg::reference reachability; sg::reference regions, CSC, USC, the CSC
+// conflict count and detonant states; logic::reference::verify_cover and
+// generate_primes; core::reference::enforce_trigger_requirement), so the
+// comparison runs over randomly generated controllers and the Table 2
+// suite in one binary.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -25,10 +26,10 @@
 #include "logic/verify.hpp"
 #include "nshot/synthesis.hpp"
 #include "nshot/trigger.hpp"
-#include "obs/obs.hpp"
 #include "oracles/espresso_reference.hpp"
 #include "oracles/reachability_reference.hpp"
 #include "oracles/sg_reference.hpp"
+#include "oracles/trial_reference.hpp"
 #include "oracles/trigger_reference.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
@@ -140,10 +141,8 @@ std::string sg_fingerprint(const sg::StateGraph& g) {
 class KernelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
-  // verify_kernels runs the reference trial beside every TrialRunner
-  // trial and keeps the reference report where they differ: a sweep with
-  // the cross-check on must find nothing and report what the sweep
-  // without it reports.
+  // The chunked TrialRunner sweep must report what the reference trials
+  // over the same run_seed configs report, merged in trial order.
   const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
@@ -153,14 +152,11 @@ TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
 
   const sim::ConformanceReport compiled =
       sim::check_conformance(gen.graph, gen.result.circuit, options);
-  const obs::Session session("kernel_equivalence_test");
-  options.verify_kernels = true;
-  const sim::ConformanceReport verified =
-      sim::check_conformance(gen.graph, gen.result.circuit, options);
+  const sim::ConformanceReport reference =
+      sim::reference::check_conformance(gen.graph, gen.result.circuit, options);
 
-  EXPECT_EQ(conformance_fingerprint(verified), conformance_fingerprint(compiled));
-  EXPECT_EQ(verified.kernel_divergence, "");
-  EXPECT_EQ(session.counter_total(obs::Counter::kKernelMismatches), 0);
+  EXPECT_EQ(conformance_fingerprint(compiled), conformance_fingerprint(reference));
+  EXPECT_EQ(compiled.simulated_time, reference.simulated_time);  // bit-exact
 }
 
 TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
@@ -179,7 +175,7 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
     config.sim.randomize_delays = true;
     config.max_transitions = 60;
     const sim::ConformanceReport fresh =
-        sim::run_closed_loop(gen.graph, gen.result.circuit, config);
+        sim::reference::run_closed_loop(gen.graph, gen.result.circuit, config);
     const sim::ConformanceReport reused =
         reuse.run(gen.graph, binding, config);
     EXPECT_EQ(conformance_fingerprint(fresh), conformance_fingerprint(reused)) << "run " << r;
@@ -188,9 +184,9 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
 
 TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
   // The campaign runs its margin and battery trials on TrialRunner.
-  // Rebuild those fields from the reference trial — run_probed and
-  // run_scenario over sim::run_closed_loop — and the rendered report must
-  // not change.
+  // Rebuild those fields from the reference trial — faults::reference's
+  // run_probed and run_scenario — and the rendered report must not
+  // change.
   const Generated gen = generate(GetParam());
   const sg::StateGraph& spec = gen.graph;
   const netlist::Netlist& circuit = gen.result.circuit;
@@ -209,7 +205,8 @@ TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
   for (int r = 0; r < options.margin_runs; ++r) {
     faults::FaultScenario scenario;
     scenario.seed = run_seed(options.seed, r);
-    const faults::ProbedRun run = faults::run_probed(spec, circuit, scenario, options.run);
+    const faults::ProbedRun run =
+        faults::reference::run_probed(spec, circuit, scenario, options.run);
     ASSERT_EQ(run.omega.size(), reference.signals.size());
     if (!run.report.clean()) reference.baseline_clean = false;
     for (std::size_t k = 0; k < run.omega.size(); ++k) {
@@ -227,7 +224,8 @@ TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
     faults::FaultScenario scenario;
     scenario.seed = options.seed;
     scenario.faults.push_back(outcome.fault);
-    const sim::ConformanceReport run = faults::run_scenario(spec, circuit, scenario, options.run);
+    const sim::ConformanceReport run =
+        faults::reference::run_scenario(spec, circuit, scenario, options.run);
     outcome.survived = run.clean();
     outcome.violation = run.violations.empty()
                             ? ""

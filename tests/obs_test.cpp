@@ -218,7 +218,6 @@ TEST(RunConfigTest, SharedFieldsReachEveryOptionsStruct) {
   RunConfig shared;
   shared.seed = 99;
   shared.jobs = 3;
-  shared.verify_kernels = true;
   shared.deadline_ms = 250;
 
   core::SynthesisOptions synthesis;
@@ -237,7 +236,6 @@ TEST(RunConfigTest, SharedFieldsReachEveryOptionsStruct) {
         static_cast<const RunConfig&>(exact)}) {
     EXPECT_EQ(config.seed, 99u);
     EXPECT_EQ(config.jobs, 3);
-    EXPECT_TRUE(config.verify_kernels);
     EXPECT_EQ(config.deadline_ms, 250);
   }
 }
@@ -248,7 +246,6 @@ TEST(RunConfigTest, OldMemberSpellingsStillCompile) {
   sim::ConformanceOptions conformance;
   conformance.seed = 7;
   conformance.jobs = 2;
-  conformance.verify_kernels = true;
   EXPECT_EQ(conformance.seed, 7u);
 
   faults::StressOptions stress;
@@ -264,9 +261,11 @@ TEST(RunConfigTest, OldMemberSpellingsStillCompile) {
 // Every kernel has one production path, so the switches that selected a
 // second one are gone: the per-struct aliases (ExactOptions::reference_sets,
 // TriggerOptions::reference_membership, removed with TriggerOptions), then
-// RunConfig::reference_kernels and CscSolveOptions::reference_kernels, and
-// RunConfig::grain, which no caller set.  Member detection keeps them gone
-// — re-adding one is a compile-time test failure.
+// RunConfig::reference_kernels and CscSolveOptions::reference_kernels,
+// RunConfig::grain, which no caller set, and RunConfig::verify_kernels,
+// whose trial cross-check moved to the offline differential battery.
+// Member detection keeps them gone — re-adding one is a compile-time test
+// failure.
 template <typename T, typename = void>
 struct has_reference_sets : std::false_type {};
 template <typename T>
@@ -277,6 +276,12 @@ template <typename T, typename = void>
 struct has_reference_kernels : std::false_type {};
 template <typename T>
 struct has_reference_kernels<T, std::void_t<decltype(std::declval<T>().reference_kernels)>>
+    : std::true_type {};
+
+template <typename T, typename = void>
+struct has_verify_kernels : std::false_type {};
+template <typename T>
+struct has_verify_kernels<T, std::void_t<decltype(std::declval<T>().verify_kernels)>>
     : std::true_type {};
 
 template <typename T, typename = void>
@@ -292,7 +297,8 @@ TEST(RunConfigTest, DeprecatedReferenceAliasesAreGone) {
   static_assert(!has_reference_kernels<csc::CscSolveOptions>::value,
                 "CscSolveOptions::reference_kernels was removed");
   static_assert(!has_grain<RunConfig>::value, "RunConfig::grain was removed");
-  for (const char* key : {"reference_kernels", "grain"})
+  static_assert(!has_verify_kernels<RunConfig>::value, "RunConfig::verify_kernels was removed");
+  for (const char* key : {"reference_kernels", "grain", "verify_kernels"})
     EXPECT_EQ(Request::known_override_keys().count(key), 0u) << key;
 }
 
@@ -300,7 +306,6 @@ TEST(RunConfigTest, DefaultsAreUnchanged) {
   const RunConfig config;
   EXPECT_EQ(config.seed, 1u);
   EXPECT_EQ(config.jobs, 0);
-  EXPECT_FALSE(config.verify_kernels);
   EXPECT_EQ(config.deadline_ms, 0);
   EXPECT_EQ(config.stage_deadline_ms, 0);
 }

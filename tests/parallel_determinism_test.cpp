@@ -13,6 +13,7 @@
 #include "faults/adversarial.hpp"
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
+#include "oracles/trial_reference.hpp"
 #include "sim/conformance.hpp"
 #include "util/rng.hpp"
 
@@ -118,28 +119,10 @@ TEST_P(ParallelDeterminismTest, TrialOutcomeDependsOnlyOnBaseSeedAndRun) {
   const sim::ConformanceReport sweep =
       sim::check_conformance(gen->graph, gen->result.circuit, options);
 
-  sim::ConformanceReport merged;
-  merged.runs = options.runs;
-  for (int r = 0; r < options.runs; ++r) {
-    sim::ClosedLoopConfig config;
-    config.sim.seed = run_seed(options.seed, r);
-    config.sim.randomize_delays = true;
-    config.sim.max_events = options.max_events;
-    config.max_transitions = options.max_transitions;
-    config.input_delay_min = options.input_delay_min;
-    config.input_delay_max = options.input_delay_max;
-    config.time_limit = options.time_limit;
-    config.fundamental_mode = options.fundamental_mode;
-    const sim::ConformanceReport one =
-        sim::run_closed_loop(gen->graph, gen->result.circuit, config);
-    merged.external_transitions += one.external_transitions;
-    merged.internal_toggles += one.internal_toggles;
-    merged.absorbed_pulses += one.absorbed_pulses;
-    merged.simulated_time += one.simulated_time;
-    merged.deadlocks += one.deadlocks;
-    merged.budget_exhausted += one.budget_exhausted;
-    for (const sim::ConformanceViolation& v : one.violations) merged.violations.push_back(v);
-  }
+  // The reference sweep: one fresh reference trial per run_seed(base, r),
+  // serially, merged in trial order.
+  const sim::ConformanceReport merged =
+      sim::reference::check_conformance(gen->graph, gen->result.circuit, options);
 
   EXPECT_EQ(conformance_fingerprint(sweep), conformance_fingerprint(merged));
 }

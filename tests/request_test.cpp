@@ -201,6 +201,17 @@ TEST(SubmitTest, RetiredReferenceKernelsKeyIsRejected) {
       << response.outcome.message;
 }
 
+TEST(SubmitTest, RetiredVerifyKernelsKeyIsRejected) {
+  // The runtime trial cross-check is gone (the reference trial is a test
+  // oracle now), and so is the key that switched it on.
+  const Response response = submit_with_override("verify_kernels");
+  ASSERT_FALSE(response.outcome.ok());
+  EXPECT_EQ(response.outcome.code, ErrorCode::kInputInvalid);
+  EXPECT_NE(response.outcome.message.find("unknown override key 'verify_kernels'"),
+            std::string::npos)
+      << response.outcome.message;
+}
+
 TEST(SubmitTest, DeadlineOverrideIsEnforced) {
   Pipeline pipeline(quiet_options());
   Request request;

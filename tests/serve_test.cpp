@@ -170,9 +170,9 @@ TEST(ProtocolTest, RoundTripsARequestLine) {
 TEST(ProtocolTest, CanonicalizesJsonOverrideValues) {
   const WireRequest wire = parse_request(
       R"({"id":"r","client":"c","spec":"bench:chu133",)"
-      R"("overrides":{"seed":7,"verify_kernels":true,"deadline_ms":"1500"}})");
+      R"("overrides":{"seed":7,"exact":true,"deadline_ms":"1500"}})");
   EXPECT_EQ(wire.request.overrides.at("seed"), "7");
-  EXPECT_EQ(wire.request.overrides.at("verify_kernels"), "1");
+  EXPECT_EQ(wire.request.overrides.at("exact"), "1");
   EXPECT_EQ(wire.request.overrides.at("deadline_ms"), "1500");
 }
 
@@ -743,6 +743,59 @@ TEST(SocketTest, StopReturnsWhileAClientNeverReads) {
   stopped.get();
   EXPECT_TRUE(prompt) << "stop() waited on a client that never reads";
   server.drain();
+}
+
+// SocketClient::pipeline interleaves sending and receiving: a batch whose
+// requests and responses each pass the server's 1 MiB outbound cap
+// completes, and every id comes back exactly once.  A client that sent
+// everything before reading would leave both sides waiting on each other.
+TEST(SocketTest, PipelinesABatchWhoseResponsesPassTheOutboundCap) {
+  const fs::path dir = test_dir("socket_pipeline");
+  const std::string path = (dir / "serve.sock").string();
+  Server server(quiet_serve());
+  SocketListener listener(path, server);
+
+  // Long ids, echoed by every response, make ~5 MiB of responses.
+  constexpr int kRequests = 160;
+  const std::string padding(32 << 10, 'p');
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i)
+    requests += request_json(gen_request("a", std::to_string(i) + "-" + padding, 7)) + "\n";
+
+  // The request stream arrives through a socket pair (not a pipe), so a
+  // writer left behind by a failed test gets EPIPE instead of SIGPIPE.
+  int input[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, input), 0);
+  std::thread writer([&] {
+    send_raw(input[1], requests);
+    ::close(input[1]);
+  });
+
+  std::vector<int> seen(kRequests, 0);
+  std::size_t response_bytes = 0;
+  SocketClient client(path);
+  auto done = std::async(std::launch::async, [&] {
+    client.pipeline(input[0], [&](const std::string& line) {
+      response_bytes += line.size();
+      const JsonValue doc = parse_json(line, "response");
+      const std::string id = doc.string_or("id", "");
+      const int index = std::stoi(id.substr(0, id.find('-')));
+      if (index >= 0 && index < kRequests && doc.bool_or("ok", false)) ++seen[index];
+    });
+  });
+  const bool finished = done.wait_for(std::chrono::seconds(120)) == std::future_status::ready;
+  if (!finished) listener.stop();  // releases the client with an error
+  EXPECT_TRUE(finished) << "the pipelined batch never completed";
+  EXPECT_NO_THROW(done.get());
+  ::shutdown(input[0], SHUT_RDWR);  // releases a writer the client stopped reading
+  writer.join();
+  ::close(input[0]);
+
+  EXPECT_GT(response_bytes, std::size_t{4} << 20);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kRequests);
+  listener.stop();
+  server.drain();
+  EXPECT_EQ(server.stats().completed, kRequests);
 }
 
 // A 4 MiB unterminated line is rejected once, as soon as it passes the

@@ -19,6 +19,7 @@
 #include "faults/margins.hpp"
 #include "netlist/transform.hpp"
 #include "nshot/synthesis.hpp"
+#include "oracles/trial_reference.hpp"
 #include "sim/conformance.hpp"
 #include "sim/trial_runner.hpp"
 #include "sim/vcd.hpp"
@@ -99,15 +100,16 @@ void expect_same_report(const sim::ConformanceReport& got, const sim::Conformanc
   }
 }
 
-/// Both engines on `config` — run_closed_loop as the oracle, `runner` as
-/// the engine under test — compared field by field and VCD byte by byte.
+/// Both engines on `config` — the reference trial as the oracle, `runner`
+/// as the engine under test — compared field by field and VCD byte by byte.
 void expect_runner_matches_reference(const sg::StateGraph& spec, sim::TrialRunner& runner,
                                      const sim::SpecBinding& binding,
                                      const sim::ClosedLoopConfig& config,
                                      const std::string& label) {
   const netlist::Netlist& circuit = runner.compiled().netlist();
   sim::VcdRecorder want_vcd(circuit);
-  const sim::ConformanceReport want = sim::run_closed_loop(spec, circuit, config, &want_vcd);
+  const sim::ConformanceReport want =
+      sim::reference::run_closed_loop(spec, circuit, config, &want_vcd);
   sim::VcdRecorder got_vcd(circuit);
   const sim::ConformanceReport got = runner.run(spec, binding, config, &got_vcd);
   expect_same_report(got, want, label);
@@ -176,7 +178,7 @@ TEST_P(SimBatchEquivalenceTest, ObservedTrialsMatchReference) {
         "circuit " + std::to_string(GetParam()) + " observed trial " + std::to_string(r);
     const sim::ClosedLoopConfig config = trial_config(base_seed, r);
     const Observed want = observe(circuit, config, [&](const sim::ClosedLoopConfig& c) {
-      return sim::run_closed_loop(gen.graph, circuit, c);
+      return sim::reference::run_closed_loop(gen.graph, circuit, c);
     });
     const Observed got = observe(circuit, config, [&](const sim::ClosedLoopConfig& c) {
       return runner.run(gen.graph, binding, c);
@@ -319,7 +321,7 @@ TEST_P(SimBatchEquivalenceTest, InjectionTiesMatchReference) {
     traced.observer = [&times](netlist::NetId, bool, double time) {
       if (times.empty() || times.back() != time) times.push_back(time);
     };
-    sim::run_closed_loop(gen.graph, circuit, traced);
+    sim::reference::run_closed_loop(gen.graph, circuit, traced);
     ASSERT_GE(times.size(), std::size_t{2}) << label;
 
     // A glitch whose force and release land exactly on consecutive commit
@@ -337,7 +339,8 @@ TEST_P(SimBatchEquivalenceTest, InjectionTiesMatchReference) {
     // after that run would quiesce, the trial resumes from quiescence.
     sim::ClosedLoopConfig pinned = clean;
     pinned.injections = {force(times[0] / 2, input_net, input_initial)};
-    const sim::ConformanceReport stalled = sim::run_closed_loop(gen.graph, circuit, pinned);
+    const sim::ConformanceReport stalled =
+        sim::reference::run_closed_loop(gen.graph, circuit, pinned);
     expect_runner_matches_reference(gen.graph, runner, binding, pinned, label + " pinned");
     pinned.injections.push_back(release(stalled.simulated_time + 1.0, input_net));
     expect_runner_matches_reference(gen.graph, runner, binding, pinned,

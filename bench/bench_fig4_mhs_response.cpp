@@ -9,6 +9,7 @@
 
 #include "gatelib/gate_library.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/compiled_netlist.hpp"
 #include "sim/event_sim.hpp"
 
 namespace {
@@ -44,7 +45,8 @@ std::optional<double> response_to_pulse(double width) {
   MhsHarness h;
   sim::SimulatorOptions options;
   options.randomize_delays = false;
-  sim::Simulator sim(h.nl, lib, options);
+  const sim::CompiledNetlist compiled(h.nl, lib);
+  sim::Simulator sim(compiled, options);
   std::optional<double> rise;
   sim.set_observer([&](NetId n, bool v, double t) {
     if (n == h.q && v) rise = t;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gatelib/gate_library.hpp"
+#include "sim/compiled_netlist.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/mhs_structural.hpp"
 
@@ -52,7 +53,8 @@ void run_figure() {
   sim::StructuralMhs model = sim::build_structural_mhs(lib.mhs_threshold());
   sim::SimulatorOptions options;
   options.randomize_delays = false;
-  sim::Simulator sim(model.circuit, lib, options);
+  const sim::CompiledNetlist compiled(model.circuit, lib);
+  sim::Simulator sim(compiled, options);
   Trace trace;
   sim.set_observer([&](NetId n, bool v, double t) { trace.record(n, v, t); });
   sim.initialize({{model.nets.set_in, false},

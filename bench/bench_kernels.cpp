@@ -3,7 +3,7 @@
 // Every hot path of the kernel layer has one production implementation and
 // one reference, a test-only oracle linked from tests/oracles: the
 // reference closed-loop trial (sim::reference::run_closed_loop — per-trial
-// compile, heap-queue Simulator) for the trial engine, stg::reference
+// compile, fresh Simulator, one step() per event) for the trial engine, stg::reference
 // reachability and sg::reference::compute_regions.  For each benchmark
 // circuit this harness runs the same trial configs once through the
 // reference trial and once through the production sim::TrialRunner,
@@ -73,8 +73,7 @@ struct CaseTiming {
   /// — identical across legs by the byte-identity contract, so per-leg
   /// events/sec ratios are exactly the inverse time ratios.  This is
   /// committed-event throughput, not raw queue traffic (absorbed and
-  /// stale events are excluded); bench_queue_scaling records the raw
-  /// number on its open-loop workload.
+  /// stale events are excluded).
   long conf_events = 0;
   double conf_events_per_sec(double ms) const {
     return ms > 0 ? static_cast<double>(conf_events) / (ms / 1e3) : 0;

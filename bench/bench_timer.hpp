@@ -1,5 +1,5 @@
 // Wall-clock timer shared by the comparison benches (bench_kernels,
-// bench_parallel, bench_queue_scaling, bench_scale).
+// bench_parallel, bench_scale).
 //
 // MinTimer keeps the minimum over repeated samples -- the standard noise
 // filter on a busy host -- plus the sample mean and standard deviation.

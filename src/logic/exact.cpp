@@ -18,9 +18,12 @@ struct CubeKey {
 };
 
 /// Recursively enumerate all maximal valid expansions of `cube`.
-/// Returns false if the prime cap was exceeded.
+/// Returns false if the prime cap was exceeded.  One seed minterm can
+/// visit a large share of the cube lattice, so the deadline is polled at
+/// every visited node, not only between seeds.
 bool expand_all(const Cube& cube, const TwoLevelSpec& spec, int o, std::set<CubeKey>& visited,
                 std::set<CubeKey>& primes, std::size_t max_primes) {
+  exec::checkpoint();
   const CubeKey key{cube.lo(), cube.hi()};
   if (!visited.insert(key).second) return true;
   bool maximal = true;
@@ -163,7 +166,6 @@ std::optional<std::vector<Cube>> generate_primes(const TwoLevelSpec& spec, int o
   std::set<CubeKey> visited;
   std::set<CubeKey> keys;
   for (const std::uint64_t code : spec.on(o)) {
-    exec::checkpoint();
     const Cube seed = Cube::minterm(code, spec.num_inputs(), 1ULL << o);
     NSHOT_REQUIRE(spec.cube_valid_for_output(seed, o), "on-minterm also appears in the off-set");
     if (!expand_all(seed, spec, o, visited, keys, options.max_primes)) return std::nullopt;

@@ -35,7 +35,6 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"adversarial_evaluations", false},
     {"memo_hits", false},
     {"memo_misses", false},
-    {"calendar_resizes", false},
     {"serve_admitted", false},
     {"serve_rejected", false},
     {"serve_completed", false},
@@ -48,7 +47,6 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
 constexpr GaugeInfo kGaugeTable[kNumGauges] = {
     {"omega_slack", true},
     {"eq1_slack", true},
-    {"calendar_fill", false},
 };
 
 /// One completed span as recorded by its owning thread.

@@ -56,8 +56,6 @@ enum class Counter : int {
                              // parallel restarts run past the serial early exit)
   kMemoHits,                 // MemoCache hits (nondet: races both-compute)
   kMemoMisses,               // MemoCache misses
-  kCalendarResizes,          // calendar-queue re-bucketing passes (nondet:
-                             // fires inside adversarial evaluations too)
   kServeAdmitted,            // serve requests admitted to the fair-share
                              // queue (nondet: traffic-dependent)
   kServeRejected,            // serve admission rejections (backlog full,
@@ -78,8 +76,6 @@ enum class Counter : int {
 enum class Gauge : int {
   kOmegaSlack = 0,   // per-signal min ω slack from the margin sweep
   kEq1Slack,         // per-signal min Eq. 1 slack
-  kCalendarFill,     // events per bucket at each calendar resize (nondet:
-                     // sampled inside adversarial evaluations too)
   kCount
 };
 

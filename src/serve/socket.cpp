@@ -26,6 +26,12 @@ constexpr std::size_t kHighWater = std::size_t{1} << 20;
 constexpr int kAcceptBackoffMs = 50;
 /// Read size; also bounds how far one read can overshoot kHighWater.
 constexpr std::size_t kChunk = 4096;
+/// Requests one connection may have queued or running at once.  Past it
+/// the loop leaves further lines buffered and stops reading the
+/// connection, so a pipelining client is slowed down instead of filling
+/// the server's backlog (AdmissionOptions::max_queue, default 256) and
+/// having the overflow answered resource_exhausted.
+constexpr int kMaxPending = 64;
 
 int unix_socket() {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -167,7 +173,9 @@ void SocketListener::run() {
     fds.assign({{mailbox_->wake[0], POLLIN, 0}, {accepting ? listen_fd_ : -1, POLLIN, 0}});
     for (const auto& [id, connection] : connections_) {
       short events = 0;
-      if (connection->reading && connection->out.size() <= kHighWater) events |= POLLIN;
+      if (connection->reading && connection->pending < kMaxPending &&
+          connection->out.size() <= kHighWater)
+        events |= POLLIN;
       if (!connection->out.empty()) events |= POLLOUT;
       fds.push_back({connection->fd, events, 0});
     }
@@ -185,6 +193,7 @@ void SocketListener::run() {
       if (it == connections_.end()) continue;  // peer already gone
       it->second->out += line;
       --it->second->pending;
+      dispatch_lines(id, *it->second);  // the freed slot takes a buffered line
     }
     responses.clear();
 
@@ -225,7 +234,12 @@ bool SocketListener::read_requests(std::uint64_t id, Connection& connection) {
     return true;
   }
   connection.in.append(chunk, static_cast<std::size_t>(n));
-  for (std::string line; connection.in.next(line);) {
+  dispatch_lines(id, connection);
+  return true;
+}
+
+void SocketListener::dispatch_lines(std::uint64_t id, Connection& connection) {
+  for (std::string line; connection.pending < kMaxPending && connection.in.next(line);) {
     if (line.empty()) continue;
     WireRequest wire;
     try {
@@ -243,7 +257,6 @@ bool SocketListener::read_requests(std::uint64_t id, Connection& connection) {
       mailbox->post(id, response.to_json() + "\n");
     });
   }
-  return true;
 }
 
 void SocketListener::stop() {

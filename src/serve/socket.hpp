@@ -6,9 +6,10 @@
 //
 // SocketListener is one poll() loop thread that owns the listening
 // socket, a wake pipe and every connection (DESIGN.md §14): non-blocking
-// reads, a 64 KiB line cap, a per-connection outbound buffer whose
-// high-water mark pauses reading, and completion callbacks that only post
-// (connection id, line) to a mailbox and wake the loop.
+// reads, a 64 KiB line cap, a per-connection cap on requests in the
+// server and an outbound buffer high-water mark (either pauses reading
+// that connection), and completion callbacks that only post (connection
+// id, line) to a mailbox and wake the loop.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +68,9 @@ class SocketListener {
   struct Mailbox;
   void run();
   bool read_requests(std::uint64_t id, Connection& connection);
+  /// Hand buffered request lines to the server until the connection's
+  /// pending cap is reached or no complete line is left.
+  void dispatch_lines(std::uint64_t id, Connection& connection);
 
   std::string path_;
   Server& server_;

@@ -91,10 +91,10 @@ class CompiledNetlist {
     return fused_reader_[static_cast<std::size_t>(net)];
   }
   /// Number of nets with a fused reader (chain links collapsed at compile
-  /// time); exposed for tests and the queue-scaling bench.
+  /// time); exposed for tests.
   int num_fused_nets() const { return num_fused_nets_; }
-  /// Length of the longest fused chain (successive fused links), for the
-  /// bench's chain statistics.
+  /// Length of the longest fused chain (successive fused links); exposed
+  /// for tests.
   int longest_fused_chain() const { return longest_fused_chain_; }
 
  private:

@@ -14,18 +14,8 @@ namespace {
 constexpr double kTimeEps = 1e-9;
 }
 
-Simulator::Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options,
-                     QueueKind queue)
-    : compiled_(&compiled), rng_(options.seed), events_(queue) {
-  build_hot_gates();
-  reset(options);
-}
-
-Simulator::Simulator(const netlist::Netlist& netlist, const gatelib::GateLibrary& lib,
-                     const SimulatorOptions& options)
-    : compiled_(nullptr), owned_(std::make_unique<CompiledNetlist>(netlist, lib)),
-      rng_(options.seed) {
-  compiled_ = owned_.get();
+Simulator::Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options)
+    : compiled_(&compiled), rng_(options.seed) {
   build_hot_gates();
   reset(options);
 }

@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -81,23 +80,13 @@ using NetObserver = std::function<void(netlist::NetId, bool value, double time)>
 class Simulator {
  public:
   /// Run against a pre-compiled netlist (the caller keeps it alive for the
-  /// simulator's lifetime).  This is the hot-path constructor: the sweeps
-  /// compile once per campaign and reset() the simulator per trial.
-  /// `queue` picks the event-queue engine; it is part of the simulator's
-  /// identity, not per-trial state, and survives reset() — per-trial
-  /// configs rebuilt without the flag cannot silently flip the mode.
-  Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options,
-            QueueKind queue = QueueKind::kBinaryHeap);
-
-  /// Convenience constructor compiling the netlist privately — identical
-  /// behaviour, pays the compile on every construction.  Also the
-  /// reference path bench_kernels measures the compiled layer against.
-  Simulator(const netlist::Netlist& netlist, const gatelib::GateLibrary& lib,
-            const SimulatorOptions& options);
+  /// simulator's lifetime): the sweeps compile once per campaign and
+  /// reset() the simulator per trial.
+  Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options);
 
   /// Return to the freshly-constructed state under new options: re-seed
   /// the RNG, resample/replace the delay vector, drop all pending events
-  /// and observers.  All arena storage (event heap, per-net and per-gate
+  /// and observers.  All arena storage (event queue, per-net and per-gate
   /// arrays) keeps its capacity.  initialize() must be called again.
   void reset(const SimulatorOptions& options);
 
@@ -180,9 +169,6 @@ class Simulator {
   double now() const { return now_; }
   bool has_pending_events() const { return !events_.empty(); }
   double next_event_time() const;
-  /// Number of events currently queued (the fused chain register never
-  /// survives a run_burst return, so this is the whole pending set).
-  std::size_t pending_events() const { return events_.size(); }
 
   bool value(netlist::NetId net) const {
     return values_[static_cast<std::size_t>(net)] != 0;
@@ -237,7 +223,6 @@ class Simulator {
   void handle_mhs_probe(netlist::GateId g, bool probing_set);
 
   const CompiledNetlist* compiled_;
-  std::unique_ptr<const CompiledNetlist> owned_;  // compat-constructor storage
   Rng rng_;
   double omega_;                           // lib().mhs_threshold()
   double tau_;                             // lib().mhs_response()

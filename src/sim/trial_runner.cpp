@@ -14,7 +14,7 @@ namespace nshot::sim {
 using netlist::NetId;
 
 TrialRunner::TrialRunner(const CompiledNetlist& compiled)
-    : compiled_(&compiled), sim_(compiled, SimulatorOptions{}, QueueKind::kAdaptive) {}
+    : compiled_(&compiled), sim_(compiled, SimulatorOptions{}) {}
 
 // The combinational settle depends only on the initial values, so it is
 // computed once by the Simulator's own dependency-order relaxation and

@@ -6,9 +6,7 @@
 // differ only in their delay draws, environment streams and faults.
 // TrialRunner executes them one at a time against a compiled netlist:
 //
-//  * one adaptive-queue Simulator (sim/event_queue.hpp — sorted array at
-//    small populations, calendar past the measured crossover) reset and
-//    reused across trials;
+//  * one Simulator reset and reused across trials;
 //  * a settle cache: the delay-independent combinational settle from the
 //    binding's initial values is computed once by Simulator::initialize
 //    and replayed through initialize_from_settled while the initial
@@ -19,7 +17,7 @@
 //    surface to the spec walk — no std::function observer per commit.
 //
 // The contract is byte-identity with the reference trial, the per-trial
-// heap-queue driver in tests/oracles/trial_reference.hpp: for every
+// step driver in tests/oracles/trial_reference.hpp: for every
 // config, TrialRunner::run produces the same ConformanceReport — violation
 // strings, simulated-time doubles, RNG draw sequence — and the same VCD
 // witness bytes.  The differential battery in
@@ -36,7 +34,7 @@ namespace nshot::sim {
 
 /// One closed-loop trial at a time, byte-identical to the reference trial
 /// on the same config.  Reusable across trials and bindings of the same
-/// compiled netlist — all arenas (queue buckets, settle cache, choice
+/// compiled netlist — all arenas (event queue, settle cache, choice
 /// scratch) keep their capacity.
 class TrialRunner {
  public:

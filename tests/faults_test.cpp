@@ -251,8 +251,8 @@ TEST(MinimizeTest, ShrinksMultiFaultFailureToSingleFaultWitness) {
 }
 
 /// The minimizer replays on the production TrialRunner; its witness must
-/// be exactly what the reference driver (a fresh compile and heap-queue
-/// Simulator) produces for witness.scenario — same verdict, same report
+/// be exactly what the reference driver (a fresh compile and a fresh
+/// Simulator stepped per event) produces for witness.scenario — same verdict, same report
 /// fingerprint, same VCD bytes.
 void expect_witness_matches_reference_replay(const Synthesized& s, const netlist::Netlist& circuit,
                                              const faults::MinimizedWitness& witness) {

@@ -168,7 +168,8 @@ void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator&
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config, VcdRecorder* recorder) {
   const SpecBinding binding(spec, circuit);
-  Simulator sim(circuit, gatelib::GateLibrary::standard(), config.sim);
+  const CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  Simulator sim(compiled, config.sim);
   ConformanceReport report;
   report.runs = 1;
   run_once(spec, binding, sim, config, report, recorder);

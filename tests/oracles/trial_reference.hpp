@@ -2,11 +2,10 @@
 // binary links it).
 //
 // sim::TrialRunner (sim/trial_runner.hpp) is the one production trial
-// engine: a reused adaptive-queue Simulator over a compiled netlist, a
-// settle cache and a burst driver loop.  The oracle is the per-trial
-// driver it replaced: a fresh heap-queue Simulator built from the netlist
-// for every trial, stepped one event at a time, with the spec walk in a
-// per-commit observer.  TrialRunner::run must produce the same
+// engine: a reused Simulator over a compiled netlist, a settle cache and a
+// burst driver loop.  The oracle is the per-trial driver it replaced: a
+// netlist compiled and a fresh Simulator built for every trial, stepped
+// one event at a time, with the spec walk in a per-commit observer.  TrialRunner::run must produce the same
 // ConformanceReport — violation strings, simulated-time doubles, RNG draw
 // sequence — and the same VCD witness bytes for every config.
 #pragma once

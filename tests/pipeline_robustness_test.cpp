@@ -3,6 +3,7 @@
 // as clean deadline-exceeded outcomes.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,26 @@ TEST(RunCheckedTest, GenerousDeadlineDoesNotPerturbTheRun) {
   EXPECT_EQ(outcome.run->conformance.external_transitions,
             baseline.run->conformance.external_transitions);
   EXPECT_EQ(outcome.run->conformance.internal_toggles, baseline.run->conformance.internal_toggles);
+}
+
+// Exact prime generation on master-read runs far past 200 ms, and a single
+// seed minterm's expansion can take hundreds of milliseconds by itself, so
+// the run only stops near its deadline if the expansion polls it per node.
+TEST(RunCheckedTest, ExactMinimizationStopsNearItsDeadline) {
+  Pipeline pipeline(quiet_options());
+  Request request;
+  request.kind = "synthesis";
+  request.spec = "bench:master-read";
+  request.overrides = {{"exact", "1"}, {"deadline_ms", "200"}};
+  const auto start = std::chrono::steady_clock::now();
+  const Response response = pipeline.submit(request);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(response.outcome.ok());
+  EXPECT_EQ(response.outcome.code, ErrorCode::kDeadlineExceeded) << response.outcome.message;
+  EXPECT_EQ(response.outcome.stage, "synthesize");
+  EXPECT_LT(wall_ms, 200.0 + 250.0);
 }
 
 }  // namespace

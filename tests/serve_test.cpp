@@ -798,6 +798,62 @@ TEST(SocketTest, PipelinesABatchWhoseResponsesPassTheOutboundCap) {
   EXPECT_EQ(server.stats().completed, kRequests);
 }
 
+// One client pipelining far more requests than the server's backlog holds
+// (default options: max_queue 256, 2 in flight per client) is slowed down,
+// not turned away: the listener stops reading the connection while it has
+// its cap of requests in the server, so every line comes back ok.
+TEST(SocketTest, PipelinedBurstPastTheBacklogIsSlowedNotRejected) {
+  const fs::path dir = test_dir("socket_burst");
+  const std::string path = (dir / "serve.sock").string();
+  const ServeOptions defaults;
+  Server server(defaults);
+  SocketListener listener(path, server);
+
+  constexpr int kRequests = 5000;
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    WireRequest wire;
+    wire.request.id = std::to_string(i);
+    wire.request.kind = "synthesis";
+    wire.request.spec = "bench:chu133";
+    requests += request_json(wire) + "\n";
+  }
+
+  int input[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, input), 0);
+  std::thread writer([&] {
+    send_raw(input[1], requests);
+    ::close(input[1]);
+  });
+
+  std::vector<int> seen(kRequests, 0);
+  std::string first_failure;
+  SocketClient client(path);
+  auto done = std::async(std::launch::async, [&] {
+    client.pipeline(input[0], [&](const std::string& line) {
+      const JsonValue doc = parse_json(line, "response");
+      const int index = std::stoi(doc.string_or("id", "-1"));
+      if (doc.bool_or("ok", false) && index >= 0 && index < kRequests)
+        ++seen[index];
+      else if (first_failure.empty())
+        first_failure = line;
+    });
+  });
+  const bool finished = done.wait_for(std::chrono::seconds(120)) == std::future_status::ready;
+  if (!finished) listener.stop();  // releases the client with an error
+  EXPECT_TRUE(finished) << "the pipelined burst never completed";
+  EXPECT_NO_THROW(done.get());
+  ::shutdown(input[0], SHUT_RDWR);  // releases a writer the client stopped reading
+  writer.join();
+  ::close(input[0]);
+
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kRequests) << first_failure;
+  listener.stop();
+  server.drain();
+  EXPECT_EQ(server.stats().completed, kRequests);
+  EXPECT_EQ(server.stats().rejected, 0);
+}
+
 // A 4 MiB unterminated line is rejected once, as soon as it passes the
 // request-size cap; its tail is dropped up to the newline, after which the
 // same connection is served again, and so is a new one.

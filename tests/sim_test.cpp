@@ -8,6 +8,7 @@
 
 #include "gatelib/gate_library.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/compiled_netlist.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/mhs_structural.hpp"
 #include "sim/vcd.hpp"
@@ -62,7 +63,8 @@ TEST(EventSimTest, AndGateWithInversionBubble) {
                    .inputs = {a, b},
                    .inverted = {false, true},
                    .outputs = {out}});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   sim.initialize({{a, true}, {b, false}});
   EXPECT_TRUE(sim.value(out));  // a & !b settles true at t=0
   sim.set_input(b, true, 1.0);
@@ -85,7 +87,8 @@ TEST(EventSimTest, PureDelayPreservesPulseTrains) {
                      .outputs = {next}});
     prev = next;
   }
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, prev);
   sim.initialize({{in, false}});
   double t = 1.0;
@@ -108,7 +111,8 @@ TEST(EventSimTest, DelayLineShiftsInTime) {
                    .inputs = {in},
                    .outputs = {out},
                    .explicit_delay = 5.0});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, out);
   sim.initialize({{in, false}});
   sim.set_input(in, true, 1.0);
@@ -131,7 +135,8 @@ TEST(EventSimTest, InertialDelayAbsorbsShortPulse) {
                    .inputs = {in},
                    .outputs = {out},
                    .explicit_delay = 1.0});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, out);
   sim.initialize({{in, false}});
   sim.set_input(in, true, 1.0);
@@ -154,7 +159,8 @@ TEST(EventSimTest, RsLatchSetsResetsAndHolds) {
   nl.add_primary_input(s);
   nl.add_primary_input(r);
   nl.add_gate(Gate{.type = GateType::kRsLatch, .name = "l", .inputs = {s, r}, .outputs = {q}});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   sim.initialize({{s, false}, {r, false}, {q, false}});
   sim.set_input(s, true, 1.0);
   sim.set_input(s, false, 2.0);
@@ -174,7 +180,8 @@ TEST(EventSimTest, CElementWaitsForBothInputs) {
   nl.add_primary_input(a);
   nl.add_primary_input(b);
   nl.add_gate(Gate{.type = GateType::kCElement, .name = "c", .inputs = {a, b}, .outputs = {q}});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   sim.initialize({{a, false}, {b, false}, {q, false}});
   sim.set_input(a, true, 1.0);
   sim.run_until(3.0);
@@ -220,7 +227,8 @@ TEST_P(MhsPulseWidthTest, PulseFiresIffAtLeastOmega) {
   const GateLibrary& lib = GateLibrary::standard();
   const double width = GetParam();
   MhsFixture f;
-  Simulator sim(f.nl, lib, fixed_delays());
+  const CompiledNetlist compiled(f.nl, lib);
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, f.q);
   sim.initialize({{f.set, false}, {f.reset, false}, {f.en_set, true}, {f.en_reset, true},
                   {f.q, false}, {f.qb, true}});
@@ -244,7 +252,8 @@ TEST(MhsTest, PulseTrainConvertsToSingleTransition) {
   // Property 3: a stream of pulses produces exactly one output transition.
   const GateLibrary& lib = GateLibrary::standard();
   MhsFixture f;
-  Simulator sim(f.nl, lib, fixed_delays());
+  const CompiledNetlist compiled(f.nl, lib);
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, f.q);
   sim.initialize({{f.set, false}, {f.reset, false}, {f.en_set, true}, {f.en_reset, true},
                   {f.q, false}, {f.qb, true}});
@@ -263,7 +272,8 @@ TEST(MhsTest, PulseTrainConvertsToSingleTransition) {
 TEST(MhsTest, EnableGatesBlockExcitation) {
   const GateLibrary& lib = GateLibrary::standard();
   MhsFixture f;
-  Simulator sim(f.nl, lib, fixed_delays());
+  const CompiledNetlist compiled(f.nl, lib);
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, f.q);
   sim.initialize({{f.set, false}, {f.reset, false}, {f.en_set, false}, {f.en_reset, true},
                   {f.q, false}, {f.qb, true}});
@@ -282,7 +292,8 @@ TEST(MhsTest, EnableGatesBlockExcitation) {
 TEST(MhsTest, ResetSideIsSymmetric) {
   const GateLibrary& lib = GateLibrary::standard();
   MhsFixture f;
-  Simulator sim(f.nl, lib, fixed_delays());
+  const CompiledNetlist compiled(f.nl, lib);
+  Simulator sim(compiled, fixed_delays());
   Recorder rec(sim, f.q);
   sim.initialize({{f.set, false}, {f.reset, false}, {f.en_set, true}, {f.en_reset, true},
                   {f.q, true}, {f.qb, false}});
@@ -304,7 +315,8 @@ TEST(VcdTest, TraceContainsHeaderInitialValuesAndChanges) {
   const NetId out = nl.add_net("out");
   nl.add_primary_input(in);
   nl.add_gate(Gate{.type = GateType::kBuf, .name = "b", .inputs = {in}, .outputs = {out}});
-  Simulator sim(nl, GateLibrary::standard(), fixed_delays());
+  const CompiledNetlist compiled(nl, GateLibrary::standard());
+  Simulator sim(compiled, fixed_delays());
   VcdRecorder recorder(nl, "1ns");
   sim.set_observer(recorder.observer());
   sim.initialize({{in, false}});
@@ -334,7 +346,8 @@ TEST(StructuralMhsTest, FiltersHazardousExcitationLikeBehaviouralModel) {
   // sub-threshold master activity.
   const GateLibrary& lib = GateLibrary::standard();
   StructuralMhs model = build_structural_mhs(lib.mhs_threshold());
-  Simulator sim(model.circuit, lib, fixed_delays());
+  const CompiledNetlist compiled(model.circuit, lib);
+  Simulator sim(compiled, fixed_delays());
   std::vector<Change> q_changes;
   sim.set_observer([&](NetId n, bool v, double t) {
     if (n == model.nets.q) q_changes.push_back({t, v});
@@ -366,7 +379,8 @@ TEST(StructuralMhsTest, SlaveCleansFilterDownTransitions) {
   // still produces monotonic behaviour on q/qb per phase.
   const GateLibrary& lib = GateLibrary::standard();
   StructuralMhs model = build_structural_mhs(lib.mhs_threshold());
-  Simulator sim(model.circuit, lib, fixed_delays());
+  const CompiledNetlist compiled(model.circuit, lib);
+  Simulator sim(compiled, fixed_delays());
   long q_toggles = 0;
   sim.set_observer([&](NetId n, bool, double) {
     if (n == model.nets.q) ++q_toggles;

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Performance-regression gate over BENCH_kernels.json / BENCH_scale.json /
-BENCH_queue_scaling.json.
+BENCH_serve.json.
 
 Compares a freshly measured bench JSON against the committed one using
 the IN-RUN speedup ratios (reference/compiled, reference/word-parallel),
@@ -42,15 +42,11 @@ RATIO_KEYS = (
     "warm_over_cold",
 )
 
-# Ratios gated per case row (matched by "name" across the two files).
-# combined_speedup and reachability_speedup gate BENCH_scale tiers;
-# calendar_over_heap and adaptive_over_heap gate BENCH_queue_scaling tiers
-# (heap_ms/engine_ms — in-run ratios like everything else here).
+# Ratios gated per case row (matched by "name" across the two files):
+# combined_speedup and reachability_speedup gate BENCH_scale tiers.
 CASE_RATIO_KEYS = (
     "combined_speedup",
     "reachability_speedup",
-    "calendar_over_heap",
-    "adaptive_over_heap",
 )
 
 # Top-level ratios measured on the file's largest tier, not on a fixed
@@ -59,12 +55,8 @@ LARGEST_TIER_KEYS = ("largest_tier_combined_speedup",)
 
 
 def case_rows(doc):
-    """Per-case rows of a bench JSON: BENCH_kernels/BENCH_scale keep them
-    under "cases", BENCH_queue_scaling under "tiers"."""
-    rows = []
-    for key in ("cases", "tiers"):
-        rows.extend(c for c in doc.get(key, []) if isinstance(c, dict) and "name" in c)
-    return rows
+    """Per-case rows of a bench JSON (its "cases" list)."""
+    return [c for c in doc.get("cases", []) if isinstance(c, dict) and "name" in c]
 
 
 def main():

@@ -8,8 +8,8 @@
 // ordered std::set / std::map reference kernels leave the cache and the
 // word-parallel StateSet / bit-plane engines pull away.  Per tier, four
 // kernels run through both paths:
-//   * regions       — compute_all_regions (shared plane sweep + threaded
-//                     per-signal floods) vs the test-only oracle
+//   * regions       — compute_all_regions (shared plane sweep + per-signal
+//                     word-parallel floods) vs the test-only oracle
 //                     sg::reference::compute_regions;
 //   * coding        — check_csc / check_usc / count_csc_conflicts /
 //                     detonant_states vs the sg::reference oracles;
@@ -19,11 +19,10 @@
 //   * reachability  — build_state_graph, the serial flat-arena sweep with
 //                     consumer-indexed mask firing, vs the test-only
 //                     oracle (loop firing over an ordered std::map).
-// The regions and coding legs take a --jobs axis (thread×word fusion: the
-// word-parallel kernels chunk their word ranges across the pool); trigger
-// and reachability are serial.  Every case row records the jobs value and
-// the host's hardware concurrency so the JSON is interpretable on any
-// machine.
+// Every kernel is serial (the threaded regions and coding paths were
+// measured no faster below ~524k states and deleted; DESIGN.md §12).
+// Every case row records the host's hardware concurrency so the JSON is
+// interpretable on any machine.
 //
 // Every pair is asserted byte-identical outside the timers; tiers up to
 // 131k states compare full region renderings and structural SG
@@ -94,7 +93,8 @@ std::string tier_g(int chains) {
 std::string sg_slice_fingerprint(const sg::StateGraph& g, sg::StateId begin, sg::StateId end) {
   std::string out;
   for (sg::StateId s = begin; s < end && s < g.num_states(); ++s) {
-    out += "\n" + std::to_string(s) + ":" + g.state_name(s) + "=" + std::to_string(g.code(s));
+    out.append("\n").append(std::to_string(s)).append(":").append(g.state_name(s));
+    out.append("=").append(std::to_string(g.code(s)));
     for (const sg::Edge& e : g.out_edges(s))
       out += " --" + g.label_name(e.label) + "--> " + std::to_string(e.target);
   }
@@ -133,14 +133,13 @@ bool sg_identical(const sg::StateGraph& a, const sg::StateGraph& b) {
 
 std::string trigger_fingerprint(const sg::StateGraph& g, const core::TriggerReport& report) {
   std::string out = std::to_string(report.cubes_added);
-  for (const core::TriggerIssue& issue : report.issues) out += "|" + issue.describe(g);
+  for (const core::TriggerIssue& issue : report.issues) out.append("|").append(issue.describe(g));
   return out;
 }
 
 struct TierTiming {
   std::string name;
   int states = 0, signals = 0;
-  int jobs = 1;
   double regions_reference_ms = 0, regions_fast_ms = 0;
   double coding_reference_ms = 0, coding_fast_ms = 0;
   double trigger_reference_ms = 0, trigger_fast_ms = 0;
@@ -161,7 +160,7 @@ struct TierTiming {
   }
 };
 
-TierTiming measure_tier(int chains, bool smoke, int jobs) {
+TierTiming measure_tier(int chains, bool smoke) {
   const std::string g_text = tier_g(chains);
   const stg::Stg net = stg::parse_g(g_text);
   stg::ReachabilityOptions build_options;
@@ -172,7 +171,6 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   timing.name = "chains-" + std::to_string(chains) + "x3";
   timing.states = g.num_states();
   timing.signals = g.num_signals();
-  timing.jobs = jobs;
   timing.sampled_identity = timing.states > kFullIdentityLimit;
   const std::vector<sg::SignalId> noninput = g.noninput_signals();
   // Deep min-of-N converges on the true floor on a noisy host, but the
@@ -186,7 +184,7 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
 
   // --- regions: ER extraction + quiescent closure + trigger SCCs ---------
   // The fast leg is the pipeline's production call: one shared plane sweep
-  // for all signals, then the per-signal floods spread over the pool.
+  // for all signals, then the per-signal floods.
   std::size_t reference_regions = 0, fast_regions = 0;
   std::vector<sg::SignalRegions> fast_all_regions;
   MinTimer regions_ref_t, regions_fast_t;
@@ -197,7 +195,7 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
         reference_regions += sg::reference::compute_regions(g, a).regions.size();
     });
     regions_fast_t.sample([&] {
-      fast_all_regions = sg::compute_all_regions(g, jobs);
+      fast_all_regions = sg::compute_all_regions(g);
       fast_regions = 0;
       for (const sg::SignalRegions& sr : fast_all_regions) fast_regions += sr.regions.size();
     });
@@ -228,9 +226,9 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
         reference_coding += sg::reference::detonant_states(g, a).size();
     });
     coding_fast_t.sample([&] {
-      fast_coding = sg::check_csc(g, jobs).violations.size() +
-                    sg::check_usc(g, jobs).violations.size() + sg::count_csc_conflicts(g, jobs);
-      for (const std::vector<sg::StateId>& det : sg::all_detonant_states(g, jobs))
+      fast_coding = sg::check_csc(g).violations.size() + sg::check_usc(g).violations.size() +
+                    sg::count_csc_conflicts(g);
+      for (const std::vector<sg::StateId>& det : sg::all_detonant_states(g))
         fast_coding += det.size();
     });
   }
@@ -238,9 +236,9 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
   timing.coding_fast_ms = coding_fast_t.best;
 
   identical = identical && reference_coding == fast_coding &&
-              sg::reference::check_csc(g).summary() == sg::check_csc(g, jobs).summary() &&
-              sg::reference::check_usc(g).summary() == sg::check_usc(g, jobs).summary();
-  const std::vector<std::vector<sg::StateId>> fast_detonant = sg::all_detonant_states(g, jobs);
+              sg::reference::check_csc(g).summary() == sg::check_csc(g).summary() &&
+              sg::reference::check_usc(g).summary() == sg::check_usc(g).summary();
+  const std::vector<std::vector<sg::StateId>> fast_detonant = sg::all_detonant_states(g);
   for (std::size_t k = 0; k < noninput.size(); ++k)
     identical = identical && sg::reference::detonant_states(g, noninput[k]) == fast_detonant[k];
 
@@ -317,11 +315,10 @@ TierTiming measure_tier(int chains, bool smoke, int jobs) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool huge = false;
-  int jobs = 1;
   int only_tier = 0;
   const char* out_path = "BENCH_scale.json";
   const char* usage =
-      "usage: bench_scale [--smoke] [--huge] [--jobs N] [--tier 1-10] [OUT.json]\n";
+      "usage: bench_scale [--smoke] [--huge] [--tier 1-10] [OUT.json]\n";
   bool have_out = false;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -335,8 +332,6 @@ int main(int argc, char** argv) {
         smoke = true;
       } else if (arg == "--huge") {
         huge = true;
-      } else if (arg == "--jobs" && has_value) {
-        jobs = parse_int(argv[++i], 1, 1024, "--jobs");
       } else if (arg == "--tier" && has_value) {
         only_tier = parse_int(argv[++i], 1, 10, "--tier");
       } else if (arg.empty() || arg[0] == '-' || have_out) {
@@ -362,8 +357,8 @@ int main(int argc, char** argv) {
   if (huge && !smoke) tiers.push_back(10);
   if (only_tier > 0) tiers = {only_tier};
 
-  std::printf("Scale bench: word-parallel kernels vs ordered references, jobs=%d (host hw %d)%s\n\n",
-              jobs, hardware, smoke ? " (smoke)" : "");
+  std::printf("Scale bench: word-parallel kernels vs ordered references (host hw %d)%s\n\n",
+              hardware, smoke ? " (smoke)" : "");
   std::printf("%-12s %8s %8s  %19s %19s %19s %19s %8s\n", "tier", "states", "signals",
               "regions ref/fast", "coding ref/fast", "trigger ref/fast", "reach ref/fast",
               "combined");
@@ -371,7 +366,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::vector<TierTiming> timings;
   for (const int chains : tiers) {
-    const TierTiming t = measure_tier(chains, smoke, jobs);
+    const TierTiming t = measure_tier(chains, smoke);
     NSHOT_REQUIRE(t.identical, "fast kernels diverged from reference on " + t.name);
     all_identical &= t.identical;
     std::printf("%-12s %8d %8d  %8.1f/%8.1fms %8.1f/%8.1fms %8.1f/%8.1fms %8.1f/%8.1fms %7.2fx\n",
@@ -394,7 +389,7 @@ int main(int argc, char** argv) {
     scale_options.max_states = 1u << 22;
     const sg::StateGraph scale_g = stg::build_state_graph(net, scale_options);
     sg::check_implementability(scale_g);
-    sg::compute_all_regions(scale_g, jobs);
+    sg::compute_all_regions(scale_g);
     passes_fragment = obs::passes_json_fragment(session.report());
   }
 
@@ -411,16 +406,14 @@ int main(int argc, char** argv) {
                   "combined kernel speedup fell below the 3x floor at " + largest.name);
 
   std::ostringstream json;
-  json << "{\n  \"hardware_jobs\": " << hardware << ",\n  \"jobs\": " << jobs
-       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
+  json << "{\n  \"hardware_jobs\": " << hardware << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"byte_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"largest_tier_combined_speedup\": " << largest.combined_speedup()
        << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const TierTiming& t = timings[i];
     json << "    {\"name\": \"" << t.name << "\", \"states\": " << t.states
-         << ", \"signals\": " << t.signals << ", \"jobs\": " << t.jobs
-         << ", \"hardware_concurrency\": " << hardware
+         << ", \"signals\": " << t.signals << ", \"hardware_concurrency\": " << hardware
          << ", \"identity\": \"" << (t.sampled_identity ? "sampled" : "full") << "\""
          << ", \"regions_reference_ms\": " << t.regions_reference_ms
          << ", \"regions_fast_ms\": " << t.regions_fast_ms

@@ -29,7 +29,7 @@ int main(int argc, char** argv) try {
   for (int c = 0; c < width; ++c) {
     std::vector<std::string> chain;
     for (int k = 0; k < chain_length; ++k) {
-      const std::string name = std::string(1, static_cast<char>('a' + c)) + std::to_string(k);
+      const std::string name = std::string(1, static_cast<char>('a' + c)).append(std::to_string(k));
       chain.push_back(name);
       (k == 0 ? inputs : outputs).push_back(name);
     }

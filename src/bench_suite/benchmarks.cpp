@@ -241,7 +241,7 @@ std::vector<BenchmarkInfo> make_registry() {
          VV chains;
          std::vector<std::string> ins, outs;
          for (int i = 1; i <= 9; ++i) {
-           const std::string b = "b" + std::to_string(i);
+           const std::string b = std::string("b").append(std::to_string(i));
            chains.push_back({b});
            (i <= 4 ? ins : outs).push_back(b);
          }
@@ -251,7 +251,7 @@ std::vector<BenchmarkInfo> make_registry() {
          VV chains;
          std::vector<std::string> ins, outs;
          for (int i = 1; i <= 11; ++i) {
-           const std::string b = "b" + std::to_string(i);
+           const std::string b = std::string("b").append(std::to_string(i));
            chains.push_back({b});
            (i <= 5 ? ins : outs).push_back(b);
          }

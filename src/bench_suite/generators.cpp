@@ -130,7 +130,7 @@ std::string random_semimodular_g(const RandomStgOptions& options) {
   const std::string name = "rand" + std::to_string(options.seed);
   const int family = static_cast<int>(rng.next_below(3));
 
-  auto signal_name = [](int i) { return "x" + std::to_string(i); };
+  auto signal_name = [](int i) { return std::string("x").append(std::to_string(i)); };
 
   if (family == 0) {
     // Staged cycle: n signals, a random nonempty proper prefix of which are

@@ -48,8 +48,10 @@ stg::Stg insert_toggle_groups(const stg::Stg& source,
     if (via < 0) {
       for (const stg::PlaceId p : source.postset(t)) result.add_arc_transition_to_place(t, p);
     } else {
-      const stg::PlaceId splice = result.add_place("<" + source.transition_name(t) + "," +
-                                                   result.transition_name(via) + ">");
+      std::string splice_name = "<";
+      splice_name.append(source.transition_name(t)).append(",");
+      splice_name.append(result.transition_name(via)).append(">");
+      const stg::PlaceId splice = result.add_place(splice_name);
       result.add_arc_transition_to_place(t, splice);
       result.add_arc_place_to_transition(splice, via);
       for (const stg::PlaceId p : source.postset(t)) result.add_arc_transition_to_place(via, p);
@@ -121,7 +123,7 @@ std::optional<CscSolveResult> solve_csc(const stg::Stg& source, const CscSolveOp
     auto group_name = [&current](const std::vector<stg::TransitionId>& group) {
       std::string text;
       for (std::size_t i = 0; i < group.size(); ++i)
-        text += (i ? "," : "") + current.transition_name(group[i]);
+        text.append(i ? "," : "").append(current.transition_name(group[i]));
       return text;
     };
 

@@ -252,14 +252,6 @@ struct ForLoop {
   }
 };
 
-/// `grain` <= 0 aims for a few chunks per worker — enough slack for the
-/// work-stealing to balance an uneven bag without paying per-item
-/// scheduling.
-int resolve_grain(int grain, int n, int workers) {
-  if (grain >= 1) return grain;
-  return std::max(1, n / (workers * 4));
-}
-
 }  // namespace
 
 int batch_grain(int n, int jobs) {
@@ -284,7 +276,7 @@ void parallel_for_chunks(int n, int grain, const std::function<void(int, int)>& 
   auto loop = std::make_shared<ForLoop>();
   loop->chunk = chunk;
   loop->n = n;
-  loop->grain = resolve_grain(grain, n, workers);
+  loop->grain = std::max(grain, 1);
   loop->num_chunks = (n + loop->grain - 1) / loop->grain;
   if (loop->num_chunks == 1) {
     chunk(0, n);
@@ -322,7 +314,7 @@ void parallel_for_chunks(int n, int grain, const std::function<void(int, int)>& 
   loop->rethrow_lowest();
 }
 
-void parallel_for(int n, const std::function<void(int)>& body, int jobs, int grain) {
+void parallel_for(int n, const std::function<void(int)>& body, int jobs) {
   if (n <= 0) return;
   const int workers = std::min(resolve_jobs(jobs), n);
   if (workers <= 1 || n == 1) {
@@ -341,7 +333,7 @@ void parallel_for(int n, const std::function<void(int)>& body, int jobs, int gra
   std::mutex mutex;
   std::vector<std::pair<int, std::exception_ptr>> errors;
   parallel_for_chunks(
-      n, grain,
+      n, /*grain=*/1,
       [&](int begin, int end) {
         for (int i = begin; i < end; ++i) {
           if (cancel_requested()) {

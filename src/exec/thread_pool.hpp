@@ -15,8 +15,8 @@
 //    pool workers being available (nested parallel sections cannot
 //    deadlock — an inner section simply degrades toward serial when the
 //    pool is saturated).
-//  * parallel_map / parallel_reduce return results ordered (folded) by
-//    index — determinism lives here, not in execution order.
+//  * parallel_map returns results ordered by index — determinism lives
+//    here, not in execution order.
 //  * jobs <= 1 (or n <= 1) short-circuits to a plain serial loop on the
 //    calling thread: no pool is created, no synchronization runs, and the
 //    result is the reference output the parallel paths are tested against.
@@ -91,16 +91,12 @@ class ThreadPool {
 };
 
 /// Run body(0) ... body(n-1), each exactly once, using up to `jobs`
-/// threads (0 = default_jobs()).  Blocks until all items completed.
-/// `grain` >= 1 batches that many consecutive indices into one scheduled
-/// task — sub-millisecond items (a single conformance trial) amortize the
-/// per-task synchronization over `grain` items while the by-index result
-/// contract is unchanged.  `grain` <= 0 picks a batch size automatically
-/// from n and the worker count.
-void parallel_for(int n, const std::function<void(int)>& body, int jobs = 0, int grain = 1);
+/// threads (0 = default_jobs()), one scheduled task per index.  Blocks
+/// until all items completed.
+void parallel_for(int n, const std::function<void(int)>& body, int jobs = 0);
 
 /// Chunked variant: invoke chunk(begin, end) over disjoint ranges covering
-/// [0, n), each range at most `grain` items (`grain` <= 0 = automatic).
+/// [0, n), each range at most `grain` (>= 1) items.
 /// This is the reuse primitive for expensive per-thread state: a chunk
 /// body can construct one scratch object (e.g. a resettable Simulator) and
 /// run `end - begin` items through it.  Chunk bodies must still produce
@@ -113,30 +109,20 @@ void parallel_for_chunks(int n, int grain, const std::function<void(int, int)>& 
 
 /// Grain for trial sweeps whose chunks carry heavy per-chunk state (a
 /// TrialRunner and its compiled-netlist arenas): one chunk per worker,
-/// capped at the physical thread count — the automatic grain's
-/// 4 chunks/worker rebuilds that state 4x, and chunks beyond the hardware
-/// concurrency only fragment it further.  Chunk boundaries stay a
+/// capped at the physical thread count — more chunks per worker rebuild
+/// that state once per chunk, and chunks beyond the hardware concurrency
+/// only fragment it further.  Chunk boundaries stay a
 /// scheduling detail (results merge by index).
 int batch_grain(int n, int jobs = 0);
 
 /// Map i -> fn(i) into a vector ordered by index.  T must be default
 /// constructible and movable.
 template <typename T, typename Fn>
-std::vector<T> parallel_map(int n, Fn&& fn, int jobs = 0, int grain = 1) {
+std::vector<T> parallel_map(int n, Fn&& fn, int jobs = 0) {
   std::vector<T> results(static_cast<std::size_t>(n > 0 ? n : 0));
   parallel_for(
-      n, [&](int i) { results[static_cast<std::size_t>(i)] = fn(i); }, jobs, grain);
+      n, [&](int i) { results[static_cast<std::size_t>(i)] = fn(i); }, jobs);
   return results;
-}
-
-/// Left fold of fn(0) ... fn(n-1) into `init` IN INDEX ORDER — the
-/// reduction a serial loop would compute, whatever order the map ran in.
-template <typename T, typename U, typename Fn, typename Combine>
-T parallel_reduce(int n, T init, Fn&& fn, Combine&& combine, int jobs = 0, int grain = 1) {
-  std::vector<U> mapped = parallel_map<U>(n, std::forward<Fn>(fn), jobs, grain);
-  T acc = std::move(init);
-  for (U& item : mapped) acc = combine(std::move(acc), std::move(item));
-  return acc;
 }
 
 }  // namespace nshot::exec

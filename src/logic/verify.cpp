@@ -4,7 +4,6 @@
 #include <bit>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "logic/bitslice.hpp"
 
 namespace nshot::logic {
@@ -49,21 +48,11 @@ VerifyResult verify_output(const TwoLevelSpec& spec, const Cover& cover, int o) 
 
 }  // namespace
 
-VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover, int jobs) {
-  const int outputs = spec.num_outputs();
-  if (jobs <= 1 || outputs <= 1) {
-    for (int o = 0; o < outputs; ++o) {
-      VerifyResult result = verify_output(spec, cover, o);
-      if (!result.ok) return result;
-    }
-    return {};
+VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover) {
+  for (int o = 0; o < spec.num_outputs(); ++o) {
+    VerifyResult result = verify_output(spec, cover, o);
+    if (!result.ok) return result;
   }
-  // Outputs are independent; merging by index and returning the first
-  // failure in output order reproduces the serial early-exit exactly.
-  std::vector<VerifyResult> results = exec::parallel_map<VerifyResult>(
-      outputs, [&](int o) { return verify_output(spec, cover, o); }, jobs);
-  for (VerifyResult& result : results)
-    if (!result.ok) return std::move(result);
   return {};
 }
 

@@ -22,12 +22,8 @@ struct VerifyResult {
 /// against the packed minterm codes.  The minterm-at-a-time original is
 /// the test-only oracle logic::reference::verify_cover
 /// (tests/oracles/espresso_reference.hpp); both return the same result.
-///
-/// `jobs` (default 1 = serial) threads the per-output checks: each output's
-/// word-parallel sweep is an independent item of an exec::parallel_map and
-/// the first failure in OUTPUT order is returned, so the result is
-/// byte-identical to the serial early-exit loop at any worker count.
-VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover, int jobs = 1);
+/// Outputs are checked in order and the first failure is returned.
+VerifyResult verify_cover(const TwoLevelSpec& spec, const Cover& cover);
 
 /// Check that no cube can be removed without losing an on-minterm.
 VerifyResult verify_irredundant(const TwoLevelSpec& spec, const Cover& cover);

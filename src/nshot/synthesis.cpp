@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "exec/memo_cache.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/cancel.hpp"
 #include "gatelib/gate_library.hpp"
 #include "logic/exact.hpp"
 #include "logic/verify.hpp"
@@ -99,29 +99,26 @@ SynthesisResult synthesize(const sg::StateGraph& sg, const SynthesisOptions& opt
     throw SynthesisError(message);
   }
 
-  // 6. Delay requirement (Eq. 1) per signal.  Signals are independent
-  // after the (F, D, R) derivation: each analysis reads only the shared
-  // immutable cover and SG, so they run in parallel and land in signal
-  // order.
+  // 6. Delay requirement (Eq. 1) per signal, in signal order.  The whole
+  // pass takes tens of microseconds on Table 2 circuits, so the loop is
+  // serial; a fired deadline stops it between signals.
   const gatelib::GateLibrary& lib = gatelib::GateLibrary::standard();
-  std::vector<SignalImplementation> signals = [&] {
+  std::vector<SignalImplementation> signals;
+  {
     const obs::Span analysis_span("signal_analysis");
-    return exec::parallel_map<SignalImplementation>(
-        static_cast<int>(derived.outputs.size()),
-        [&](int i) {
-          const obs::Span span("signal", i);
-          const OutputIndex& index = derived.outputs[static_cast<std::size_t>(i)];
-          SignalImplementation impl;
-          impl.signal = index.signal;
-          impl.set_cubes = cover.cube_count_for_output(index.set_output);
-          impl.reset_cubes = cover.cube_count_for_output(index.reset_output);
-          impl.delay = compute_delay_requirement(sop_levels(cover, index.set_output, lib),
-                                                 sop_levels(cover, index.reset_output, lib), lib);
-          impl.init = analyze_initialization(sg, index.signal, cover, index);
-          return impl;
-        },
-        options.jobs);
-  }();
+    for (std::size_t i = 0; i < derived.outputs.size(); ++i) {
+      exec::checkpoint();
+      const obs::Span span("signal", static_cast<long>(i));
+      const OutputIndex& index = derived.outputs[i];
+      SignalImplementation& impl = signals.emplace_back();
+      impl.signal = index.signal;
+      impl.set_cubes = cover.cube_count_for_output(index.set_output);
+      impl.reset_cubes = cover.cube_count_for_output(index.reset_output);
+      impl.delay = compute_delay_requirement(sop_levels(cover, index.set_output, lib),
+                                             sop_levels(cover, index.reset_output, lib), lib);
+      impl.init = analyze_initialization(sg, index.signal, cover, index);
+    }
+  }
   std::vector<DelayRequirement> delays;
   for (const SignalImplementation& impl : signals) delays.push_back(impl.delay);
 

@@ -36,11 +36,11 @@ class SynthesisError : public Error {
       : Error(ErrorCode::kUnimplementable, what) {}
 };
 
-/// The inherited nshot::RunConfig `jobs` drives per-signal work —
-/// per-output exact minimization and the Eq. 1 / initialization analyses,
-/// which are independent across signals once the joint (F, D, R) spec is
-/// derived.  Results merge in signal order, so the synthesized netlist is
-/// identical for every jobs value.
+/// The inherited nshot::RunConfig `jobs` drives per-output exact
+/// minimization (exact mode only); results merge in output order, so the
+/// synthesized netlist is identical for every jobs value.  The SG checks,
+/// cover verification and the per-signal Eq. 1 / initialization analyses
+/// are serial.
 struct SynthesisOptions : RunConfig {
   /// Use exact (Quine-McCluskey + branch-and-bound) minimization per
   /// output instead of the heuristic multi-output loop.

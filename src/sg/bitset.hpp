@@ -17,13 +17,8 @@
 // the graph; afterwards every value / excitation test in a flood or scan
 // is a single bit probe instead of an out-edge scan.
 //
-// Every builder takes a `jobs` knob (default 1 = serial, the seed-era
-// behaviour).  The parallel path chunks the STATE range into 64-aligned
-// word ranges dispatched through exec::parallel_for_chunks: state s only
-// ever touches bit (s & 63) of word (s >> 6) of its planes, so 64-aligned
-// chunks write disjoint words and the result is byte-identical at any
-// worker count — the same by-index discipline the sweep engine uses, with
-// the word as the merge unit.
+// The builders are serial, one ascending state sweep per call: threads
+// did not pay below ~524k states (DESIGN.md §12).
 #pragma once
 
 #include <bit>
@@ -98,17 +93,17 @@ class StateSet {
 
 /// Bit plane of signal x's value: state s is a member iff bit x of s's
 /// code is 1.
-StateSet value_set(const StateGraph& sg, SignalId x, int jobs = 1);
+StateSet value_set(const StateGraph& sg, SignalId x);
 
 /// Bit plane of signal x's excitation: state s is a member iff some
 /// transition of x is enabled in s.
-StateSet excited_set(const StateGraph& sg, SignalId x, int jobs = 1);
+StateSet excited_set(const StateGraph& sg, SignalId x);
 
 /// Value planes of every signal in a single state sweep (plane x ==
 /// value_set(sg, x)).
-std::vector<StateSet> all_value_sets(const StateGraph& sg, int jobs = 1);
+std::vector<StateSet> all_value_sets(const StateGraph& sg);
 
 /// Excitation planes of every signal in a single edge sweep.
-std::vector<StateSet> all_excited_sets(const StateGraph& sg, int jobs = 1);
+std::vector<StateSet> all_excited_sets(const StateGraph& sg);
 
 }  // namespace nshot::sg

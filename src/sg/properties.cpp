@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
+#include "exec/cancel.hpp"
 #include "obs/obs.hpp"
 #include "sg/bitset.hpp"
 #include "util/error.hpp"
@@ -119,26 +119,11 @@ std::uint64_t excited_noninput_mask(const StateGraph& sg, StateId s) {
   return mask;
 }
 
-}  // namespace
-
-namespace {
-
-/// The sorted (code, state) table the coding checkers group over.  The
-/// fill is chunked over state ranges when jobs > 1 (each index is written
-/// exactly once, so any chunking is byte-identical); the sort stays
-/// serial.
-std::vector<std::pair<std::uint64_t, StateId>> sorted_code_state_pairs(const StateGraph& sg,
-                                                                       int jobs) {
-  std::vector<std::pair<std::uint64_t, StateId>> by_code(
-      static_cast<std::size_t>(sg.num_states()));
-  auto fill = [&](int begin, int end) {
-    for (StateId s = begin; s < end; ++s)
-      by_code[static_cast<std::size_t>(s)] = {sg.code(s), s};
-  };
-  if (jobs <= 1)
-    fill(0, sg.num_states());
-  else
-    exec::parallel_for_chunks(sg.num_states(), /*grain=*/0, fill, jobs);
+/// The sorted (code, state) table the coding checkers group over.
+std::vector<std::pair<std::uint64_t, StateId>> sorted_code_state_pairs(const StateGraph& sg) {
+  std::vector<std::pair<std::uint64_t, StateId>> by_code;
+  by_code.reserve(static_cast<std::size_t>(sg.num_states()));
+  for (StateId s = 0; s < sg.num_states(); ++s) by_code.emplace_back(sg.code(s), s);
   std::sort(by_code.begin(), by_code.end());
   return by_code;
 }
@@ -147,44 +132,30 @@ std::vector<std::pair<std::uint64_t, StateId>> sorted_code_state_pairs(const Sta
 /// order check_csc reports them: groups in ascending code order, states
 /// ascending within a group.  Shared by the string-building checker and
 /// the count-only path the CSC solver hammers, so both stay identical.
-/// The excited-mask probes of duplicate-code groups are the per-state
-/// edge scans, so they are the part worth spreading across workers; the
-/// masks are merged by group position, which keeps the visit order.
+/// Each duplicate-code group is one deadline checkpoint: the solver's
+/// candidate loop has none of its own.
 template <typename Visitor>
-void for_each_csc_conflict(const StateGraph& sg, int jobs, Visitor&& visit) {
-  const std::vector<std::pair<std::uint64_t, StateId>> by_code =
-      sorted_code_state_pairs(sg, jobs);
-  std::vector<std::pair<std::size_t, std::size_t>> groups;  // [begin, end) with >= 2 states
-  std::vector<StateId> members;                             // group members, in visit order
+void for_each_csc_conflict(const StateGraph& sg, Visitor&& visit) {
+  const std::vector<std::pair<std::uint64_t, StateId>> by_code = sorted_code_state_pairs(sg);
   for (std::size_t begin = 0; begin < by_code.size();) {
     std::size_t end = begin;
     while (end < by_code.size() && by_code[end].first == by_code[begin].first) ++end;
     if (end - begin >= 2) {
-      groups.emplace_back(begin, end);
-      for (std::size_t i = begin; i < end; ++i) members.push_back(by_code[i].second);
+      exec::checkpoint();
+      const std::uint64_t reference = excited_noninput_mask(sg, by_code[begin].second);
+      for (std::size_t i = begin + 1; i < end; ++i)
+        if (excited_noninput_mask(sg, by_code[i].second) != reference)
+          visit(by_code[begin].second, by_code[i].second);
     }
     begin = end;
-  }
-  const std::vector<std::uint64_t> masks = exec::parallel_map<std::uint64_t>(
-      static_cast<int>(members.size()),
-      [&](int i) {
-        return excited_noninput_mask(sg, members[static_cast<std::size_t>(i)]);
-      },
-      jobs, /*grain=*/0);
-  std::size_t offset = 0;
-  for (const auto& [begin, end] : groups) {
-    const std::uint64_t reference = masks[offset];
-    for (std::size_t i = 1; i < end - begin; ++i)
-      if (masks[offset + i] != reference) visit(by_code[begin].second, by_code[begin + i].second);
-    offset += end - begin;
   }
 }
 
 }  // namespace
 
-PropertyReport check_csc(const StateGraph& sg, int jobs) {
+PropertyReport check_csc(const StateGraph& sg) {
   PropertyReport report;
-  for_each_csc_conflict(sg, jobs, [&](StateId first, StateId other) {
+  for_each_csc_conflict(sg, [&](StateId first, StateId other) {
     report.violations.push_back("CSC conflict between " + sg.state_name(first) + " and " +
                                 sg.state_name(other) +
                                 " (equal codes, different excited non-input signals)");
@@ -192,15 +163,14 @@ PropertyReport check_csc(const StateGraph& sg, int jobs) {
   return report;
 }
 
-PropertyReport check_usc(const StateGraph& sg, int jobs) {
+PropertyReport check_usc(const StateGraph& sg) {
   PropertyReport report;
   // Sorted-group formulation of the first-occurrence hash scan: within a
   // group (states ascending) every state after the first collides with the
   // group's first state, and sorting the (colliding state, first state)
   // pairs by colliding state reproduces the hash scan's report order —
   // one violation per non-first state, emitted in ascending state order.
-  const std::vector<std::pair<std::uint64_t, StateId>> by_code =
-      sorted_code_state_pairs(sg, jobs);
+  const std::vector<std::pair<std::uint64_t, StateId>> by_code = sorted_code_state_pairs(sg);
   std::vector<std::pair<StateId, StateId>> collisions;  // (colliding state, first state)
   for (std::size_t begin = 0; begin < by_code.size();) {
     std::size_t end = begin;
@@ -216,9 +186,9 @@ PropertyReport check_usc(const StateGraph& sg, int jobs) {
   return report;
 }
 
-std::size_t count_csc_conflicts(const StateGraph& sg, int jobs) {
+std::size_t count_csc_conflicts(const StateGraph& sg) {
   std::size_t count = 0;
-  for_each_csc_conflict(sg, jobs, [&count](StateId, StateId) { ++count; });
+  for_each_csc_conflict(sg, [&count](StateId, StateId) { ++count; });
   return count;
 }
 
@@ -227,61 +197,41 @@ namespace {
 /// The Definition-3 scan against a prebuilt excitation plane of `a` —
 /// shared by the per-signal entry point (which builds one plane) and the
 /// batched all-signal one (which builds every plane in a single sweep).
-std::vector<StateId> detonant_scan(const StateGraph& sg, const StateSet& excited, int jobs) {
-  auto scan = [&](StateId begin, StateId end) {
-    std::vector<StateId> found;
-    std::vector<StateId> exciting_successors;
-    for (StateId w = begin; w < end; ++w) {
-      if (excited.contains(w)) continue;  // a must be stable in w
-      exciting_successors.clear();
-      for (const Edge& e : sg.out_edges(w))
-        if (excited.contains(e.target)) exciting_successors.push_back(e.target);
-      std::sort(exciting_successors.begin(), exciting_successors.end());
-      exciting_successors.erase(
-          std::unique(exciting_successors.begin(), exciting_successors.end()),
-          exciting_successors.end());
-      if (exciting_successors.size() >= 2) found.push_back(w);
-    }
-    return found;
-  };
-  if (jobs <= 1) return scan(0, sg.num_states());
-  // Per-range verdicts concatenated in range order == the ascending-state
-  // order the serial scan produces, for any range split.
-  const int n = sg.num_states();
-  const int chunks = std::min(exec::resolve_jobs(jobs) * 4, std::max(n, 1));
-  const std::vector<std::vector<StateId>> parts = exec::parallel_map<std::vector<StateId>>(
-      chunks,
-      [&](int c) {
-        const StateId begin = static_cast<StateId>(static_cast<std::int64_t>(n) * c / chunks);
-        const StateId end = static_cast<StateId>(static_cast<std::int64_t>(n) * (c + 1) / chunks);
-        return scan(begin, end);
-      },
-      jobs);
-  std::vector<StateId> result;
-  for (const std::vector<StateId>& part : parts)
-    result.insert(result.end(), part.begin(), part.end());
-  return result;
+std::vector<StateId> detonant_scan(const StateGraph& sg, const StateSet& excited) {
+  std::vector<StateId> found;
+  std::vector<StateId> exciting_successors;
+  for (StateId w = 0; w < sg.num_states(); ++w) {
+    if (excited.contains(w)) continue;  // a must be stable in w
+    exciting_successors.clear();
+    for (const Edge& e : sg.out_edges(w))
+      if (excited.contains(e.target)) exciting_successors.push_back(e.target);
+    std::sort(exciting_successors.begin(), exciting_successors.end());
+    exciting_successors.erase(std::unique(exciting_successors.begin(), exciting_successors.end()),
+                              exciting_successors.end());
+    if (exciting_successors.size() >= 2) found.push_back(w);
+  }
+  return found;
 }
 
 }  // namespace
 
-std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a, int jobs) {
+std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a) {
   NSHOT_REQUIRE(!sg.is_input(a), "detonant states are defined for non-input signals");
   // One excitation plane of a replaces the per-state / per-successor
   // out-edge scans: stability and successor excitation become bit probes.
-  return detonant_scan(sg, excited_set(sg, a, jobs), jobs);
+  return detonant_scan(sg, excited_set(sg, a));
 }
 
-std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int jobs) {
+std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg) {
   // One shared sweep builds every signal's excitation plane; calling
   // detonant_states per signal would repeat that whole-graph edge pass
   // once per non-input signal for identical plane content.
-  const std::vector<StateSet> excited = all_excited_sets(sg, jobs);
+  const std::vector<StateSet> excited = all_excited_sets(sg);
   const std::vector<SignalId> signals = sg.noninput_signals();
   std::vector<std::vector<StateId>> result;
   result.reserve(signals.size());
   for (const SignalId a : signals)
-    result.push_back(detonant_scan(sg, excited[static_cast<std::size_t>(a)], jobs));
+    result.push_back(detonant_scan(sg, excited[static_cast<std::size_t>(a)]));
   return result;
 }
 

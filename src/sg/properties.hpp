@@ -33,34 +33,29 @@ PropertyReport check_reachability(const StateGraph& sg);
 PropertyReport check_semi_modular(const StateGraph& sg);
 
 /// Definition 1: Complete State Coding — states with equal binary codes
-/// have identical sets of excited non-input signals.
-///
-/// `jobs` (here and on the three checkers below, default 1 = serial) is
-/// the thread axis over the word/state-range scans: the (code, state) pair
-/// fill, the excited-mask probes of duplicate-code groups and the
-/// per-state detonant scan chunk the STATE range across workers and merge
-/// by index, so every jobs value produces byte-identical reports.  The
-/// group sort itself stays serial.
-PropertyReport check_csc(const StateGraph& sg, int jobs = 1);
+/// have identical sets of excited non-input signals.  Sorts the (code,
+/// state) pairs once and compares excited non-input masks within each
+/// duplicate-code group; serial, like every checker here.
+PropertyReport check_csc(const StateGraph& sg);
 
 /// Unique State Coding: all state codes are distinct (stronger than CSC;
 /// reported for information only).
-PropertyReport check_usc(const StateGraph& sg, int jobs = 1);
+PropertyReport check_usc(const StateGraph& sg);
 
 /// Number of CSC conflict pairs (== check_csc(sg).violations.size())
 /// without materializing the diagnostic strings — the CSC solver calls
 /// this in its candidate-evaluation inner loop.
-std::size_t count_csc_conflicts(const StateGraph& sg, int jobs = 1);
+std::size_t count_csc_conflicts(const StateGraph& sg);
 
 /// Definition 3: states detonant with respect to non-input signal `a`
 /// (a stable in w, excited in two or more distinct direct successors).
-std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a, int jobs = 1);
+std::vector<StateId> detonant_states(const StateGraph& sg, SignalId a);
 
 /// Batched Definition-3 scan over every non-input signal, indexed as
-/// sg.noninput_signals(): entry i equals detonant_states(sg, signal_i,
-/// jobs) exactly, but all excitation planes come from one shared graph
-/// sweep instead of one whole-graph edge pass per signal.
-std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg, int jobs = 1);
+/// sg.noninput_signals(): entry i equals detonant_states(sg, signal_i)
+/// exactly, but all excitation planes come from one shared graph sweep
+/// instead of one whole-graph edge pass per signal.
+std::vector<std::vector<StateId>> all_detonant_states(const StateGraph& sg);
 
 /// Definition 4: the SG is distributive w.r.t. `a` iff no detonant states.
 bool is_distributive(const StateGraph& sg, SignalId a);

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "exec/cancel.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sg/bitset.hpp"
 #include "util/error.hpp"
@@ -283,29 +282,18 @@ SignalRegions compute_regions(const StateGraph& sg, SignalId a) {
   return compute_regions_impl(sg, a, value_set(sg, a), excited_set(sg, a));
 }
 
-std::vector<SignalRegions> compute_all_regions(const StateGraph& sg, int jobs) {
+std::vector<SignalRegions> compute_all_regions(const StateGraph& sg) {
   const obs::Span span("regions");
-  // One shared plane sweep for every signal (word-range-chunked when
-  // jobs > 1) replaces the two per-signal graph passes compute_regions
-  // would make; plane content is identical, so the regions are too.
-  const std::vector<StateSet> values = all_value_sets(sg, jobs);
-  const std::vector<StateSet> excited = all_excited_sets(sg, jobs);
-  const std::vector<SignalId> signals = sg.noninput_signals();
-  auto regions_of = [&](int i) {
-    const SignalId a = signals[static_cast<std::size_t>(i)];
-    return compute_regions_impl(sg, a, values[static_cast<std::size_t>(a)],
-                                excited[static_cast<std::size_t>(a)]);
-  };
-  if (jobs <= 1) {
-    std::vector<SignalRegions> all;
-    all.reserve(signals.size());
-    for (std::size_t i = 0; i < signals.size(); ++i)
-      all.push_back(regions_of(static_cast<int>(i)));
-    return all;
-  }
-  // Thread axis: one independent work item per signal, results merged by
-  // signal index — byte-identical to the serial loop at any worker count.
-  return exec::parallel_map<SignalRegions>(static_cast<int>(signals.size()), regions_of, jobs);
+  // One shared plane sweep for every signal replaces the two per-signal
+  // graph passes compute_regions would make; plane content is identical,
+  // so the regions are too.
+  const std::vector<StateSet> values = all_value_sets(sg);
+  const std::vector<StateSet> excited = all_excited_sets(sg);
+  std::vector<SignalRegions> all;
+  for (const SignalId a : sg.noninput_signals())
+    all.push_back(compute_regions_impl(sg, a, values[static_cast<std::size_t>(a)],
+                                       excited[static_cast<std::size_t>(a)]));
+  return all;
 }
 
 bool is_single_traversal(const StateGraph& sg) {

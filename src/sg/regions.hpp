@@ -48,16 +48,11 @@ struct SignalRegions {
 /// (tests/oracles/sg_reference.hpp), which must give the same to_string.
 SignalRegions compute_regions(const StateGraph& sg, SignalId a);
 
-/// Regions of every non-input signal, in signal order.
-///
-/// `jobs` is the thread axis over the word-parallel per-signal kernels:
-/// the value/excitation bit planes of every signal are built once in
-/// word-range-chunked sweeps, then the per-signal region analyses (each a
-/// word-parallel flood over its own planes) run as independent items of an
-/// exec::parallel_map merged by signal index — so the result is
-/// byte-identical to the serial loop at any worker count.  jobs <= 1 keeps
-/// the serial loop (still sharing the single plane sweep).
-std::vector<SignalRegions> compute_all_regions(const StateGraph& sg, int jobs = 1);
+/// Regions of every non-input signal, in signal order.  The value and
+/// excitation bit planes of every signal are built once in a shared
+/// sweep, then each signal's word-parallel flood runs over its own planes
+/// in a serial loop.
+std::vector<SignalRegions> compute_all_regions(const StateGraph& sg);
 
 /// Definition 9: the SG is single traversal iff every trigger region of
 /// every non-input signal contains exactly one state.

@@ -79,7 +79,9 @@ std::string StateGraph::label_name(TransitionLabel t) const {
 }
 
 std::string StateGraph::state_name(StateId s) const {
-  std::string text = "s" + std::to_string(s) + "<";
+  std::string text = "s";
+  text += std::to_string(s);
+  text.push_back('<');
   for (int x = 0; x < num_signals(); ++x) {
     text.push_back(value(s, x) ? '1' : '0');
     if (excited(s, x)) text.push_back('*');

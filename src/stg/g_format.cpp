@@ -197,7 +197,7 @@ std::string write_g(const Stg& stg) {
   }
   std::string dummies;
   for (TransitionId t = 0; t < stg.num_transitions(); ++t)
-    if (stg.transition(t).is_dummy()) dummies += " " + stg.transition_name(t);
+    if (stg.transition(t).is_dummy()) dummies.append(" ").append(stg.transition_name(t));
   if (!dummies.empty()) out << ".dummy" << dummies << "\n";
   out << ".graph\n";
   // Emit place-centric arcs: every place appears as target then source.

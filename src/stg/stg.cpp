@@ -67,7 +67,8 @@ void Stg::add_arc_transition_to_place(TransitionId t, PlaceId p) {
 }
 
 PlaceId Stg::connect(TransitionId from, TransitionId to) {
-  const std::string name = "<" + transition_name(from) + "," + transition_name(to) + ">";
+  std::string name = "<";
+  name.append(transition_name(from)).append(",").append(transition_name(to)).append(">");
   const PlaceId p = find_place(name) ? *find_place(name) : add_place(name);
   add_arc_transition_to_place(from, p);
   add_arc_place_to_transition(p, to);
@@ -103,7 +104,7 @@ std::string Stg::transition_name(TransitionId t) const {
   const StgTransition& tr = transitions_[static_cast<std::size_t>(t)];
   if (tr.is_dummy()) return dummy_names_[static_cast<std::size_t>(t)];
   std::string name = signals_[static_cast<std::size_t>(tr.signal)].name + (tr.rising ? "+" : "-");
-  if (tr.instance != 1) name += "/" + std::to_string(tr.instance);
+  if (tr.instance != 1) name.append("/").append(std::to_string(tr.instance));
   return name;
 }
 

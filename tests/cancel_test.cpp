@@ -105,8 +105,7 @@ TEST(CancelParallelForTest, FiredTokenDrainsIdenticallyAtAnyJobs) {
     const CancelScope scope(token);
     std::atomic<int> ran{0};
     try {
-      parallel_for(
-          64, [&](int) { ran.fetch_add(1); }, jobs, /*grain=*/1);
+      parallel_for(64, [&](int) { ran.fetch_add(1); }, jobs);
       FAIL() << "expected Error at jobs=" << jobs;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded) << "jobs=" << jobs;
@@ -130,7 +129,7 @@ TEST(CancelParallelForTest, MidFlightDeadlineCancelsTheSweep) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
             checkpoint();
           },
-          jobs, /*grain=*/1);
+          jobs);
       FAIL() << "expected Error at jobs=" << jobs;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded) << "jobs=" << jobs;
@@ -150,7 +149,7 @@ TEST(CancelParallelForTest, TokenPropagatesToPoolWorkers) {
       [&](int) {
         if (current_token().same_as(token)) covered.fetch_add(1);
       },
-      8, /*grain=*/1);
+      8);
   EXPECT_EQ(covered.load(), 8);
 }
 

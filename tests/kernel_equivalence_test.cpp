@@ -49,7 +49,7 @@ std::string random_staged_cycle(Rng& rng, int index) {
   const int num_signals = 3 + static_cast<int>(rng.next_below(6));
   std::vector<std::string> names, inputs, outputs;
   for (int i = 0; i < num_signals; ++i) {
-    const std::string name = "x" + std::to_string(i);
+    const std::string name = std::string("x").append(std::to_string(i));
     names.push_back(name);
     (rng.next_bool(0.5) ? inputs : outputs).push_back(name);
   }
@@ -120,7 +120,8 @@ std::string conformance_fingerprint(const sim::ConformanceReport& r) {
                     "/" + std::to_string(r.simulated_time) + "/" + std::to_string(r.deadlocks) +
                     "/" + std::to_string(r.budget_exhausted);
   for (const sim::ConformanceViolation& v : r.violations)
-    out += "|" + std::to_string(v.seed) + "@" + std::to_string(v.time) + ":" + v.description;
+    out.append("|").append(std::to_string(v.seed)).append("@").append(std::to_string(v.time))
+        .append(":").append(v.description);
   return out;
 }
 
@@ -131,9 +132,11 @@ std::string sg_fingerprint(const sg::StateGraph& g) {
   for (int i = 0; i < g.num_signals(); ++i)
     out += g.signal(i).name + (g.is_input(i) ? "?" : "!") + ",";
   for (sg::StateId s = 0; s < g.num_states(); ++s) {
-    out += "\n" + std::to_string(s) + ":" + g.state_name(s) + "=" + std::to_string(g.code(s));
+    out.append("\n").append(std::to_string(s)).append(":").append(g.state_name(s));
+    out.append("=").append(std::to_string(g.code(s)));
     for (const sg::Edge& e : g.out_edges(s))
-      out += " --" + g.label_name(e.label) + "--> " + std::to_string(e.target);
+      out.append(" --").append(g.label_name(e.label)).append("--> ").append(
+          std::to_string(e.target));
   }
   return out;
 }
@@ -310,11 +313,12 @@ TEST(KernelEquivalenceFixedTest, ReachabilityMultiWordRingMatchesReferenceMaps) 
   std::vector<std::string> inputs, outputs;
   std::vector<std::vector<std::string>> stages;
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "x" + std::to_string(i);
+    const std::string name = std::string("x").append(std::to_string(i));
     (i % 2 == 0 ? inputs : outputs).push_back(name);
     stages.push_back({name + "+"});
   }
-  for (int i = 0; i < 40; ++i) stages.push_back({"x" + std::to_string(i) + "-"});
+  for (int i = 0; i < 40; ++i)
+    stages.push_back({std::string("x").append(std::to_string(i)).append("-")});
   const std::string g_text = bench_suite::staged_cycle_g("ring40", inputs, outputs, stages);
   const stg::Stg net = stg::parse_g(g_text);
   ASSERT_EQ(net.num_places(), 80);
@@ -329,7 +333,7 @@ TEST(KernelEquivalenceFixedTest, ReachabilityTable2ChainsMatchReferenceMaps) {
   std::vector<std::vector<std::string>> brk_chains;
   std::vector<std::string> brk_inputs, brk_outputs;
   for (int i = 1; i <= 11; ++i) {
-    const std::string b = "b" + std::to_string(i);
+    const std::string b = std::string("b").append(std::to_string(i));
     brk_chains.push_back({b});
     (i <= 5 ? brk_inputs : brk_outputs).push_back(b);
   }
@@ -390,14 +394,21 @@ void expect_coding_matches_reference(const sg::StateGraph& g, const std::string&
 }
 
 TEST_P(KernelEquivalenceTest, CodingChecksMatchOrderedReference) {
-  // check_csc / check_usc / detonant_states run over sorted vectors and
-  // excitation bit planes; compare against the ordered-container oracles.
+  // check_csc / check_usc / detonant_states / all_detonant_states run
+  // over sorted vectors and excitation bit planes; compare against the
+  // ordered-container oracles.
   const Generated gen = generate(GetParam());
   const sg::StateGraph& g = gen.graph;
 
   expect_coding_matches_reference(g, "param " + std::to_string(GetParam()));
-  for (const sg::SignalId a : g.noninput_signals())
-    EXPECT_EQ(sg::reference::detonant_states(g, a), sg::detonant_states(g, a)) << "signal " << a;
+  const std::vector<sg::SignalId> noninput = g.noninput_signals();
+  const std::vector<std::vector<sg::StateId>> all = sg::all_detonant_states(g);
+  ASSERT_EQ(all.size(), noninput.size());
+  for (std::size_t k = 0; k < noninput.size(); ++k) {
+    const std::vector<sg::StateId> reference = sg::reference::detonant_states(g, noninput[k]);
+    EXPECT_EQ(reference, sg::detonant_states(g, noninput[k])) << "signal " << noninput[k];
+    EXPECT_EQ(reference, all[k]) << "all_detonant_states signal " << noninput[k];
+  }
 }
 
 TEST(KernelEquivalenceFixedTest, CodingChecksMatchOrderedReferenceOnCscConflicts) {
@@ -454,7 +465,8 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
 
   auto report_fingerprint = [&](const core::TriggerReport& r) {
     std::string out = std::to_string(r.cubes_added);
-    for (const core::TriggerIssue& issue : r.issues) out += "|" + issue.describe(gen.graph);
+    for (const core::TriggerIssue& issue : r.issues)
+      out.append("|").append(issue.describe(gen.graph));
     return out;
   };
 

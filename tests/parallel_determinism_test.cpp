@@ -26,7 +26,7 @@ std::string random_staged_cycle(Rng& rng, int index) {
   const int num_signals = 3 + static_cast<int>(rng.next_below(6));
   std::vector<std::string> names, inputs, outputs;
   for (int i = 0; i < num_signals; ++i) {
-    const std::string name = "x" + std::to_string(i);
+    const std::string name = std::string("x").append(std::to_string(i));
     names.push_back(name);
     (rng.next_bool(0.5) ? inputs : outputs).push_back(name);
   }
@@ -80,7 +80,8 @@ std::string conformance_fingerprint(const sim::ConformanceReport& r) {
                     "/" + std::to_string(r.simulated_time) + "/" + std::to_string(r.deadlocks) +
                     "/" + std::to_string(r.budget_exhausted);
   for (const sim::ConformanceViolation& v : r.violations)
-    out += "|" + std::to_string(v.seed) + "@" + std::to_string(v.time) + ":" + v.description;
+    out.append("|").append(std::to_string(v.seed)).append("@").append(std::to_string(v.time))
+        .append(":").append(v.description);
   return out;
 }
 

@@ -55,7 +55,7 @@ Outcome capture(const std::function<std::string()>& body) {
 std::string fingerprint(const sg::StateGraph& g) {
   std::string out = "init=" + std::to_string(g.initial()) + ";";
   for (sg::StateId s = 0; s < g.num_states(); ++s) {
-    out += "\n" + std::to_string(s) + "=" + std::to_string(g.code(s));
+    out.append("\n").append(std::to_string(s)).append("=").append(std::to_string(g.code(s)));
     for (const sg::Edge& e : g.out_edges(s))
       out += " --" + g.label_name(e.label) + "--> " + std::to_string(e.target);
   }
@@ -166,7 +166,7 @@ TEST(ReachabilityDiagnosticsTest, StateCapAtAndBelowTheStateCount) {
   std::vector<std::vector<std::string>> chains;
   std::vector<std::string> inputs, outputs;
   for (int i = 1; i <= 5; ++i) {
-    const std::string b = "b" + std::to_string(i);
+    const std::string b = std::string("b").append(std::to_string(i));
     chains.push_back({b});
     (i <= 2 ? inputs : outputs).push_back(b);
   }

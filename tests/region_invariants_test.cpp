@@ -30,7 +30,8 @@ std::string random_chains(Rng& rng, int index) {
     const int length = 1 + static_cast<int>(rng.next_below(3));
     std::vector<std::string> chain;
     for (int k = 0; k < length; ++k) {
-      const std::string name = "c" + std::to_string(c) + "_" + std::to_string(k);
+      const std::string name =
+          std::string("c").append(std::to_string(c)).append("_").append(std::to_string(k));
       chain.push_back(name);
       (k == 0 && rng.next_bool(0.7) ? inputs : outputs).push_back(name);
     }

@@ -264,8 +264,10 @@ TEST(ServerTest, RejectsWhenTheBacklogIsFull) {
   options.admission.max_queue = 2;
   Server server(options);
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 10; ++i)
-    futures.push_back(server.enqueue(gen_request("a", "q" + std::to_string(i), 7)));
+  for (int i = 0; i < 10; ++i) {
+    const std::string id = std::string("q").append(std::to_string(i));
+    futures.push_back(server.enqueue(gen_request("a", id, 7)));
+  }
   int rejected = 0;
   for (auto& future : futures) {
     const Response response = future.get();
@@ -620,7 +622,8 @@ TEST(SocketTest, OneLoopThreadServesEveryConnection) {
   const int threads = thread_count();
   for (int c = 1; c < 20; ++c) {
     clients.push_back(std::make_unique<SocketClient>(path));
-    ASSERT_NE(clients.back()->roundtrip(gen_request("a", "c" + std::to_string(c), 7)), "");
+    const std::string id = std::string("c").append(std::to_string(c));
+    ASSERT_NE(clients.back()->roundtrip(gen_request("a", id, 7)), "");
   }
   EXPECT_EQ(thread_count(), threads);
   clients.clear();

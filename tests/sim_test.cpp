@@ -80,9 +80,9 @@ TEST(EventSimTest, PureDelayPreservesPulseTrains) {
   nl.add_primary_input(in);
   NetId prev = in;
   for (int i = 0; i < 3; ++i) {
-    const NetId next = nl.add_net("n" + std::to_string(i));
+    const NetId next = nl.add_net(std::string("n").append(std::to_string(i)));
     nl.add_gate(Gate{.type = GateType::kBuf,
-                     .name = "b" + std::to_string(i),
+                     .name = std::string("b").append(std::to_string(i)),
                      .inputs = {prev},
                      .outputs = {next}});
     prev = next;

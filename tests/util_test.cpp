@@ -162,7 +162,7 @@ TEST(NetlistTest, BuildTreeDecomposesWideFunctions) {
   Netlist nl("t");
   std::vector<NetId> ins;
   for (int i = 0; i < 9; ++i) {
-    ins.push_back(nl.add_net("i" + std::to_string(i)));
+    ins.push_back(nl.add_net(std::string("i").append(std::to_string(i))));
     nl.add_primary_input(ins.back());
   }
   nl.build_tree(GateType::kAnd, ins, {}, "wide", /*force_gate=*/true);
